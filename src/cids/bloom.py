@@ -9,7 +9,10 @@ items is the standard (1 - e^(-kn/m))^k.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .encoding import Reader, encode_u64, sha256
 from .errors import MalformedBytes, ShapeMismatch
@@ -83,11 +86,13 @@ class BloomFilter:
                 f"cannot merge ({self.m_bits},{self.k_hashes}) "
                 f"with ({other.m_bits},{other.k_hashes})"
             )
-        merged = bytearray(a | b for a, b in zip(self.bits, other.bits))
-        return BloomFilter(self.m_bits, self.k_hashes, merged, self.n_inserted + other.n_inserted)
+        merged = int.from_bytes(self.bits, "little") | int.from_bytes(other.bits, "little")
+        return BloomFilter(self.m_bits, self.k_hashes,
+                           bytearray(merged.to_bytes(len(self.bits), "little")),
+                           self.n_inserted + other.n_inserted)
 
     def popcount(self) -> int:
-        return sum(bin(b).count("1") for b in self.bits)
+        return int.from_bytes(self.bits, "little").bit_count()
 
     def copy(self) -> BloomFilter:
         return BloomFilter(self.m_bits, self.k_hashes, bytearray(self.bits), self.n_inserted)
@@ -109,6 +114,39 @@ class BloomFilter:
             and self.n_inserted == other.n_inserted
             and self.bits == other.bits
         )
+
+
+class ProbeSet:
+    """A growing list of keys with their bit positions, hashed once per filter shape.
+
+    `hits(f)` equals `sum(f.query(key) for key in keys)`, counted with one numpy
+    gather over `f.bits` instead of a hash and a probe loop per key.
+    """
+
+    def __init__(self, keys: Iterable[bytes] = ()):
+        self.keys: list[bytes] = list(keys)
+        self._positions: dict[tuple[int, int], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def extend(self, keys: Iterable[bytes]) -> None:
+        self.keys.extend(keys)
+
+    def positions(self, m_bits: int, k_hashes: int) -> np.ndarray:
+        """(len(keys), k_hashes) bit indices; only keys added since the last call are hashed."""
+        shape = (m_bits, k_hashes)
+        cached = self._positions.get(shape, np.empty((0, k_hashes), dtype=np.int64))
+        if len(cached) < len(self.keys):
+            fresh = np.array([positions(m_bits, k_hashes, key) for key in self.keys[len(cached):]],
+                             dtype=np.int64)
+            cached = self._positions[shape] = np.concatenate([cached, fresh])
+        return cached
+
+    def hits(self, f: BloomFilter) -> int:
+        """How many keys `f` reports as present."""
+        bits = np.unpackbits(np.frombuffer(f.bits, dtype=np.uint8), bitorder="little")
+        return int(bits[self.positions(f.m_bits, f.k_hashes)].all(axis=1).sum())
 
 
 def deserialize(data: bytes) -> BloomFilter:

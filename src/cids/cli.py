@@ -15,10 +15,10 @@ import sys
 
 from .bloom import MAX_K, analytic_fpr, optimal_k
 from .errors import CidsError, ConfigInvalid, MalformedBytes
-from .ledger import TxKind, export_jsonl, first_invalid_height, import_jsonl
+from .ledger import export_jsonl, first_invalid_height, import_jsonl
 from .simnet.config import config_from_dict
 from .simnet.engine import Simulation
-from .trust import TrustRecord, apply_outcome
+from .trust import TrustRecord, fold_trust
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -135,11 +135,7 @@ def cmd_trust_report(args) -> int:
         known.add(block.proposer)
         for tx in block.txs:
             known.add(tx.sender)
-    records = {node: TrustRecord(node) for node in known}
-    for _height, tx in ledger.scan(TxKind.TRUST_UPDATE):
-        subject = tx.payload.subject
-        current = records.get(subject, TrustRecord(subject))
-        records[subject] = apply_outcome(current, tx.payload.outcome)
+    records = {**{node: TrustRecord(node) for node in known}, **fold_trust(ledger)}
     rows = [
         {
             "node": node,

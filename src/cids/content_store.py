@@ -45,7 +45,8 @@ class ContentStore:
         """Write each entry as <hex digest>.bin for post-run inspection."""
         os.makedirs(directory, exist_ok=True)
         for digest, payload in self._entries.items():
-            assert len(digest) == DIGEST_LEN
+            if len(digest) != DIGEST_LEN:
+                raise ValueError(f"store key {digest.hex()} is not a {DIGEST_LEN}-byte digest")
             with open(os.path.join(directory, digest.hex() + ".bin"), "wb") as fh:
                 fh.write(payload)
         return len(self._entries)

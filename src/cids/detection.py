@@ -40,6 +40,10 @@ class Flags(IntFlag):
     ARP_REPLY = 4
 
 
+# plain-int bit test: `Flags.SYN in flags` runs Flag.__contains__ in Python per event
+_SYN_BIT = int(Flags.SYN)
+
+
 @dataclass(frozen=True)
 class EventRecord:
     sim_time: int
@@ -80,7 +84,7 @@ def extract_features(window: list[EventRecord], window_ticks: int) -> np.ndarray
     out[0] = n / window_ticks
     out[1] = sum(e.payload_len for e in window) / n
     out[2] = len({e.dst_port for e in window})
-    out[3] = sum(1 for e in window if Flags.SYN in e.flags) / n
+    out[3] = sum(1 for e in window if int.__and__(e.flags, _SYN_BIT)) / n
     out[4] = 1.0 - len({e.payload_digest for e in window}) / n
     out[5] = sum(1 for e in window if e.claimed_src_identity != e.src)
     out[6] = len({e.dst for e in window})

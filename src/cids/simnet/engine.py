@@ -14,11 +14,12 @@ and the benign allowlist enumerated from the traffic profile.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 
 import numpy as np
 
 from .. import bloom
-from ..bloom import BloomFilter
+from ..bloom import BloomFilter, ProbeSet
 from ..content_store import ContentStore
 from ..detection import (
     EventRecord,
@@ -83,6 +84,8 @@ class Simulation:
         self.nodes: list[NodeState] = []
         self.benign_samples: dict[int, list[bytes]] = {}
         self.trace: list[dict] = []
+        # per validator: (attack, benign) reference keys with cached bloom positions
+        self._reference_probes: dict[int, tuple[ProbeSet, ProbeSet]] = {}
 
     def _rng(self, *stream: int) -> np.random.Generator:
         return np.random.default_rng([self.config.seed & 0x7FFFFFFF, *stream])
@@ -251,6 +254,15 @@ class Simulation:
     def _reject(self, reason: VerdictReason, threshold: float) -> ValidationVerdict:
         return ValidationVerdict(False, 0.0, threshold, reason)
 
+    def _references(self, v: int) -> tuple[ProbeSet, ProbeSet]:
+        """Validator v's attack keys and benign samples, each key hashed once per run."""
+        if v not in self._reference_probes:
+            self._reference_probes[v] = (ProbeSet(), ProbeSet(self.benign_samples[v]))
+        attack, benign = self._reference_probes[v]
+        # local_signatures only grows, in insertion order: append the keys added since
+        attack.extend(islice(self.nodes[v].local_signatures, len(attack), None))
+        return attack, benign
+
     def _validate_contribution(self, tx: Transaction) -> bool:
         cfg = self.config
         validators = [a for a in cfg.authorities if a != tx.sender] or list(cfg.authorities)
@@ -272,8 +284,7 @@ class Simulation:
                     contributed = bloom.deserialize(self.store.get(tx.payload.filter_digest))
                     verdict = validate_signature_filter(
                         contributed,
-                        list(vnode.local_signatures),
-                        self.benign_samples[v],
+                        *self._references(v),
                         cfg.thresholds.filter_coverage,
                         cfg.thresholds.filter_fpr,
                     )
@@ -310,7 +321,7 @@ class Simulation:
         learn_pending: dict[int, list[tuple[np.ndarray, int]]] = defaultdict(list)
         windows_closed = 0
 
-        alarm_raise_tick: dict[int, int] = {}
+        alarm_raise_tick: list[int] = []  # indexed by alarm sequence number
         sealed_contribs: set[tuple[int, bytes]] = set()
         report = MetricsReport(seed=cfg.seed)
         report.per_class = {name: ClassMetrics() for name in ATTACK_CLASS_NAMES}
@@ -319,7 +330,7 @@ class Simulation:
 
         def record_alarms(node_id: int, window: int, txs: list[Transaction], tick: int):
             for tx in txs:
-                alarm_raise_tick[id(tx)] = tick
+                alarm_raise_tick.append(tick)
                 self.ledger.submit(tx)
             if txs:
                 alarm_counts[(node_id, window)] += len(txs)
@@ -429,7 +440,7 @@ class Simulation:
             node.add_signatures(keyed)
 
     def _seal(self, t: int, sealed_contribs, report: MetricsReport,
-              dissemination: list[int], alarm_raise_tick: dict[int, int]) -> int:
+              dissemination: list[int], alarm_raise_tick: list[int]) -> int:
         cfg = self.config
         included: list[Transaction] = []
         outcomes: list[Transaction] = []
@@ -460,8 +471,10 @@ class Simulation:
                 subject = tx.payload.subject
                 current = self.trust.get(subject, TrustRecord(subject))
                 self.trust[subject] = apply_outcome(current, tx.payload.outcome)
-            elif tx.kind == TxKind.ALARM and id(tx) in alarm_raise_tick:
-                dissemination.append(t - alarm_raise_tick[id(tx)])
+            elif tx.kind == TxKind.ALARM:
+                # every pending alarm is sealed, in submission order, so the
+                # n-th alarm sealed in the run is the one with sequence number n
+                dissemination.append(t - alarm_raise_tick[len(dissemination)])
         return block.index
 
     def _finalize(self, report, attack_counts, total_counts, alarm_counts, first_alarm,

@@ -9,7 +9,9 @@ sweeps all subnets on the same ports, a replay targets a single session.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +35,19 @@ Emission = tuple[int, int, EventRecord]
 
 def _count(intensity: float, rate: float) -> int:
     return int(intensity * rate + 0.5)
+
+
+def _choice_cdf(weights: tuple[float, ...]) -> list[float]:
+    """The normalised CDF that `Generator.choice(p=weights)` bisects one `random()` into.
+
+    `bisect_right(cdf, rng.random())` draws the same index as the `choice` call
+    and leaves the generator in the same state, without its per-call set-up.
+    """
+    cdf = np.cumsum(weights)
+    return (cdf / cdf[-1]).tolist()
+
+
+_FLAG_CDF = _choice_cdf(BENIGN_FLAG_WEIGHTS)
 
 
 @dataclass
@@ -83,9 +98,7 @@ class BenignPool:
             dst_port=BENIGN_PORTS[rng.integers(len(BENIGN_PORTS))],
             payload_digest=self.payloads[rng.integers(len(self.payloads))],
             payload_len=length,
-            flags=BENIGN_FLAG_CHOICES[
-                rng.choice(len(BENIGN_FLAG_CHOICES), p=BENIGN_FLAG_WEIGHTS)
-            ],
+            flags=BENIGN_FLAG_CHOICES[bisect_right(_FLAG_CDF, rng.random())],
             claimed_src_identity=src,
         )
 
@@ -105,14 +118,16 @@ def gen_benign(pool: BenignPool, n_nodes: int, duration: int,
 def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
             n_nodes: int, rng: np.random.Generator) -> list[Emission]:
     """SYN flood: full intensity at the target, collateral everywhere else."""
-    out = []
     full = _count(spec.intensity, profile.rate)
     collateral = _count(DOS_COLLATERAL * spec.intensity, profile.rate)
+    counts = [full if node == spec.target else collateral for node in range(n_nodes)]
+    # one bulk draw yields the (src, payload) pairs a per-event loop would draw
+    highs = np.tile([n_nodes, len(pools.dos_payloads)], sum(counts) * spec.length)
+    draws = iter(rng.integers(0, highs).reshape(-1, 2).tolist())
+    out = []
     for tick in range(spec.start, spec.start + spec.length):
-        for node in range(n_nodes):
-            count = full if node == spec.target else collateral
-            for _ in range(count):
-                src = int(rng.integers(n_nodes))
+        for node, count in enumerate(counts):
+            for src, payload in islice(draws, count):
                 out.append(
                     (
                         tick,
@@ -122,9 +137,7 @@ def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
                             src=src,
                             dst=node,
                             dst_port=DOS_PORT,
-                            payload_digest=pools.dos_payloads[
-                                rng.integers(len(pools.dos_payloads))
-                            ],
+                            payload_digest=pools.dos_payloads[payload],
                             payload_len=DOS_PAYLOAD_LEN,
                             flags=Flags.SYN,
                             claimed_src_identity=src,
@@ -137,14 +150,14 @@ def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
 def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
               n_nodes: int, rng: np.random.Generator) -> list[Emission]:
     """ARP-style spoofing, broadcast: claimed identity never matches the source."""
-    out = []
     count = max(1, _count(spec.intensity, profile.rate))
+    # spoofed identities need not be real node ids, only mismatched: src + 1 + [0, 16)
+    highs = np.tile([n_nodes, 16, len(pools.spoof_payloads)], count * n_nodes * spec.length)
+    draws = iter(rng.integers(0, highs).reshape(-1, 3).tolist())
+    out = []
     for tick in range(spec.start, spec.start + spec.length):
         for node in range(n_nodes):
-            for _ in range(count):
-                src = int(rng.integers(n_nodes))
-                # spoofed identities need not be real node ids, only mismatched
-                claimed = src + 1 + int(rng.integers(16))
+            for src, offset, payload in islice(draws, count):
                 out.append(
                     (
                         tick,
@@ -154,12 +167,10 @@ def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
                             src=src,
                             dst=node,
                             dst_port=0,
-                            payload_digest=pools.spoof_payloads[
-                                rng.integers(len(pools.spoof_payloads))
-                            ],
+                            payload_digest=pools.spoof_payloads[payload],
                             payload_len=SPOOF_PAYLOAD_LEN,
                             flags=Flags.ARP_REPLY,
-                            claimed_src_identity=claimed,
+                            claimed_src_identity=src + 1 + offset,
                         ),
                     )
                 )
@@ -213,9 +224,10 @@ def gen_replay(spec: AttackSpec, profile: BenignProfile, captured: list[EventRec
     templates = list(distinct.values())
     out = []
     per_tick = max(1, _count(spec.intensity, profile.rate))
+    picks = iter(rng.integers(len(templates), size=per_tick * spec.length).tolist())
     for tick in range(spec.start, spec.start + spec.length):
-        for _ in range(per_tick):
-            t = templates[rng.integers(len(templates))]
+        for i in islice(picks, per_tick):
+            t = templates[i]
             out.append(
                 (
                     tick,

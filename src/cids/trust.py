@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bloom import BloomFilter
+from .bloom import BloomFilter, ProbeSet
 from .detection import LabeledDataset, LinearModel, evaluate
 from .errors import EmptyHoldout, EmptyReference
 from .ledger import Ledger, Outcome, Reason, Transaction, TrustUpdate, TxKind
@@ -49,7 +49,8 @@ class ValidationVerdict:
     reason: VerdictReason
 
     def __post_init__(self):
-        assert self.accepted == (self.reason == VerdictReason.OK)
+        if self.accepted != (self.reason == VerdictReason.OK):
+            raise ValueError(f"accepted={self.accepted} contradicts reason {self.reason}")
 
 
 def validate_model(
@@ -64,20 +65,29 @@ def validate_model(
     return ValidationVerdict(False, accuracy, accuracy_threshold, VerdictReason.BELOW_ACCURACY)
 
 
+def _hit_rate(f: BloomFilter, keys: list[bytes] | ProbeSet) -> float:
+    probes = keys if isinstance(keys, ProbeSet) else ProbeSet(keys)
+    return probes.hits(f) / len(probes)
+
+
 def validate_signature_filter(
     contributed: BloomFilter,
-    known_attack_keys: list[bytes],
-    benign_sample_keys: list[bytes],
+    known_attack_keys: list[bytes] | ProbeSet,
+    benign_sample_keys: list[bytes] | ProbeSet,
     coverage_threshold: float,
     fpr_threshold: float,
 ) -> ValidationVerdict:
-    """Coverage of known attacks first, then measured FPR on benign samples."""
+    """Coverage of known attacks first, then measured FPR on benign samples.
+
+    A validator that checks many filters against the same references passes
+    them as `ProbeSet`s, so each key is hashed once rather than once per filter.
+    """
     if not known_attack_keys or not benign_sample_keys:
         raise EmptyReference("need non-empty attack and benign reference keys")
-    coverage = sum(contributed.query(k) for k in known_attack_keys) / len(known_attack_keys)
+    coverage = _hit_rate(contributed, known_attack_keys)
     if coverage < coverage_threshold:
         return ValidationVerdict(False, coverage, coverage_threshold, VerdictReason.LOW_COVERAGE)
-    fpr_est = sum(contributed.query(k) for k in benign_sample_keys) / len(benign_sample_keys)
+    fpr_est = _hit_rate(contributed, benign_sample_keys)
     if fpr_est > fpr_threshold:
         return ValidationVerdict(False, fpr_est, fpr_threshold, VerdictReason.HIGH_FPR)
     return ValidationVerdict(True, coverage, coverage_threshold, VerdictReason.OK)

@@ -103,6 +103,20 @@ def test_merge_associative_and_superset():
         assert merged.query(item)
 
 
+@pytest.mark.parametrize("m_bits", [8, 13, 1000, 10001])
+def test_merge_and_popcount_match_byte_loops(m_bits):
+    rng = random.Random(m_bits)
+    for _ in range(20):
+        nbytes = (m_bits + 7) // 8
+        a = BloomFilter(m_bits, 3, bytearray(rng.randbytes(nbytes)), 1)
+        b = BloomFilter(m_bits, 3, bytearray(rng.randbytes(nbytes)), 2)
+        merged = a.merge(b)
+        assert merged.bits == bytearray(x | y for x, y in zip(a.bits, b.bits))
+        assert merged.n_inserted == 3
+        assert merged.popcount() == sum(bin(x).count("1") for x in merged.bits)
+    assert BloomFilter(m_bits, 3).popcount() == 0
+
+
 def test_merge_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         BloomFilter(512, 4).merge(BloomFilter(1024, 4))

@@ -71,3 +71,11 @@ def test_put_never_removes(tmp_path):
     files = list((tmp_path / "blobs").iterdir())
     assert len(files) == 20
     assert all(f.suffix == ".bin" for f in files)
+
+
+def test_dump_rejects_a_key_that_is_not_a_digest(tmp_path):
+    store = ContentStore()
+    store.put(b"payload")
+    store._entries[b"short"] = b"forged"
+    with pytest.raises(ValueError, match="not a 32-byte digest"):
+        store.dump(str(tmp_path / "blobs"))

@@ -89,6 +89,13 @@ def test_all_syn_window():
     assert feats[0] == pytest.approx(0.5)
 
 
+def test_syn_ratio_over_every_flag_combination():
+    combos = [Flags(v) for v in range(8)] * 3
+    window = [make_event(sim_time=t, flags=f) for t, f in enumerate(combos)]
+    expected = sum(1 for f in combos if Flags.SYN in f) / len(combos)
+    assert extract_features(window, 20)[3] == expected == 0.5
+
+
 def test_duplicate_payload_ratio():
     digests = [b"\x01" * 32, b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, b"\x04" * 32]
     window = [make_event(sim_time=t, digest=d) for t, d in enumerate(digests)]

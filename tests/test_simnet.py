@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cids.detection import Flags, extract_features
+from cids.detection import EventRecord, Flags, extract_features
 from cids.errors import ConfigInvalid, EmptyHistory
 from cids.ledger import TxKind
 from cids.simnet import (
@@ -22,6 +22,16 @@ from cids.simnet import (
     gen_spoof,
     run,
     standard_scenario,
+)
+from cids.simnet.generators import (
+    BENIGN_FLAG_CHOICES,
+    BENIGN_FLAG_WEIGHTS,
+    BENIGN_PORTS,
+    DOS_COLLATERAL,
+    DOS_PAYLOAD_LEN,
+    DOS_PORT,
+    REPLAY_POOL,
+    SPOOF_PAYLOAD_LEN,
 )
 
 
@@ -220,6 +230,127 @@ def test_replay_empty_history():
         gen_replay(spec, profile, [], np.random.default_rng(1))
 
 
+# --- bulk draws consume the random stream exactly as the per-event loops ----
+# The scalar loops below are the generators as first written, one Generator
+# call per value. The bulk versions must emit the same events and leave the
+# generator in the same state, so every later draw of a run is unchanged.
+
+def _count(intensity, rate):
+    return int(intensity * rate + 0.5)
+
+
+def scalar_one_event(pool, tick, node, n_nodes, rng):
+    src = int(rng.integers(n_nodes))
+    length = max(1, int(rng.normal(pool.profile.payload_len_mean, pool.profile.payload_len_std)))
+    return EventRecord(
+        tick, src, node, BENIGN_PORTS[rng.integers(len(BENIGN_PORTS))],
+        pool.payloads[rng.integers(len(pool.payloads))], length,
+        BENIGN_FLAG_CHOICES[rng.choice(len(BENIGN_FLAG_CHOICES), p=BENIGN_FLAG_WEIGHTS)], src,
+    )
+
+
+def scalar_dos(spec, pools, profile, n_nodes, rng):
+    out = []
+    full = _count(spec.intensity, profile.rate)
+    collateral = _count(DOS_COLLATERAL * spec.intensity, profile.rate)
+    for tick in range(spec.start, spec.start + spec.length):
+        for node in range(n_nodes):
+            for _ in range(full if node == spec.target else collateral):
+                src = int(rng.integers(n_nodes))
+                digest = pools.dos_payloads[rng.integers(len(pools.dos_payloads))]
+                out.append((tick, node, EventRecord(tick, src, node, DOS_PORT, digest,
+                                                    DOS_PAYLOAD_LEN, Flags.SYN, src)))
+    return out
+
+
+def scalar_spoof(spec, pools, profile, n_nodes, rng):
+    out = []
+    count = max(1, _count(spec.intensity, profile.rate))
+    for tick in range(spec.start, spec.start + spec.length):
+        for node in range(n_nodes):
+            for _ in range(count):
+                src = int(rng.integers(n_nodes))
+                claimed = src + 1 + int(rng.integers(16))
+                digest = pools.spoof_payloads[rng.integers(len(pools.spoof_payloads))]
+                out.append((tick, node, EventRecord(tick, src, node, 0, digest, SPOOF_PAYLOAD_LEN,
+                                                    Flags.ARP_REPLY, claimed)))
+    return out
+
+
+def scalar_replay(spec, profile, captured, rng):
+    distinct = {}
+    for i in rng.permutation(len(captured)):
+        distinct.setdefault(captured[int(i)].payload_digest, captured[int(i)])
+        if len(distinct) >= REPLAY_POOL:
+            break
+    templates = list(distinct.values())
+    out = []
+    for tick in range(spec.start, spec.start + spec.length):
+        for _ in range(max(1, _count(spec.intensity, profile.rate))):
+            t = templates[rng.integers(len(templates))]
+            out.append((tick, spec.target, EventRecord(tick, t.src, spec.target, t.dst_port,
+                                                       t.payload_digest, t.payload_len, t.flags,
+                                                       t.src)))
+    return out
+
+
+def twin_rngs(seed, half_used):
+    """Two generators in one state; `half_used` leaves half a 64-bit draw buffered."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_used:
+        for rng in pair:
+            rng.integers(5)
+    return pair
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [1, 6])
+@pytest.mark.parametrize("half_used", [False, True])
+def test_one_event_matches_choice_draw(seed, n_nodes, half_used):
+    _, pool, _ = profile_and_pools(seed)
+    bulk, ref = twin_rngs(seed, half_used)
+    for i in range(300):
+        assert pool.one_event(i, 0, n_nodes, bulk) == scalar_one_event(pool, i, 0, n_nodes, ref)
+    assert bulk.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [1, 6])
+@pytest.mark.parametrize("half_used", [False, True])
+@pytest.mark.parametrize("attack,length,target,intensity", [
+    ("dos", 0, 0, 20.0),
+    ("dos", 9, 0, 20.0),
+    ("dos", 9, 3, 7.0),
+    ("spoof", 0, 0, 1.0),
+    ("spoof", 9, 2, 2.5),
+])
+def test_bulk_attack_draws_match_scalar_loop(seed, n_nodes, half_used, attack, length, target,
+                                             intensity):
+    profile, _, pools = profile_and_pools(seed)
+    spec = AttackSpec(attack, start=5, length=length, target=target, intensity=intensity)
+    gen, scalar = (gen_dos, scalar_dos) if attack == "dos" else (gen_spoof, scalar_spoof)
+    bulk, ref = twin_rngs(seed, half_used)
+    emissions = gen(spec, pools, profile, n_nodes, bulk)
+    assert emissions == scalar(spec, pools, profile, n_nodes, ref)
+    assert bulk.bit_generator.state == ref.bit_generator.state
+    assert bool(emissions) == (length > 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("half_used", [False, True])
+@pytest.mark.parametrize("length,n_payloads", [(0, 256), (9, 256), (9, 1)])
+def test_bulk_replay_draws_match_scalar_loop(seed, half_used, length, n_payloads):
+    # one distinct payload leaves a single template: integers(1) draws nothing
+    profile, pool, _ = profile_and_pools(seed)
+    pool.payloads = pool.payloads[:n_payloads]
+    captured = [e for _, _, e in gen_benign(pool, 1, 30, np.random.default_rng(seed))]
+    spec = AttackSpec("replay", start=40, length=length, target=0, intensity=2.5)
+    bulk, ref = twin_rngs(seed, half_used)
+    emissions = gen_replay(spec, profile, captured, bulk)
+    assert emissions == scalar_replay(spec, profile, captured, ref)
+    assert bulk.bit_generator.state == ref.bit_generator.state
+
+
 # --- runs -----------------------------------------------------------------
 
 def test_run_rejects_invalid_config():
@@ -260,6 +391,22 @@ def test_dissemination_within_block_interval(mini_run):
     _sim, report = mini_run
     if report.dissemination_max is not None:
         assert report.dissemination_max <= 10
+
+
+def test_dissemination_counts_every_alarm_from_its_raise_tick():
+    # an alarm is raised in the tick its event arrives or its window closes,
+    # which is the sim_time it carries; it disseminates when its block seals.
+    # A repeated flood raises signature alarms on many ticks of one block.
+    cfg = mini_scenario(adversary=None)
+    cfg.attacks.append(AttackSpec("dos", start=250, length=60, target=3, intensity=12.0))
+    sim = Simulation(cfg)
+    report = sim.run()
+    delays = [block.sim_time - tx.payload.sim_time
+              for block in sim.ledger.blocks[1:] for tx in block.txs
+              if tx.kind == TxKind.ALARM]
+    assert delays
+    assert report.dissemination_mean == float(np.mean(delays))
+    assert report.dissemination_max == max(delays)
 
 
 def test_adversary_contained(mini_run):

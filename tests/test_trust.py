@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cids.bloom import BloomFilter
+from cids.bloom import BloomFilter, ProbeSet
 from cids.detection import LabeledDataset, svm_train
 from cids.errors import EmptyHoldout, EmptyReference
 from cids.ledger import Ledger, Outcome, Reason, TxKind
@@ -146,6 +148,56 @@ def test_empty_reference_lists():
         validate_signature_filter(f, [], [b"x"], 0.8, 0.05)
     with pytest.raises(EmptyReference):
         validate_signature_filter(f, [b"x"], [], 0.8, 0.05)
+
+
+@st.composite
+def filters_and_keys(draw):
+    m_bits = draw(st.integers(8, 400))  # most values are not a multiple of 8
+    k_hashes = draw(st.integers(1, 16))
+    nbytes = (m_bits + 7) // 8
+    fill = draw(st.sampled_from(["random", "empty", "saturated"]))
+    if fill == "random":
+        bits = bytearray(draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    else:
+        bits = bytearray((b"\xff" if fill == "saturated" else b"\x00") * nbytes)
+    keys = draw(st.lists(st.binary(min_size=1, max_size=48), max_size=60))
+    return BloomFilter(m_bits, k_hashes, bits, 1), keys, draw(st.integers(0, len(keys)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(filters_and_keys())
+def test_probe_set_hits_equal_query_count(case):
+    f, keys, split = case
+    probes = ProbeSet(keys[:split])
+    assert probes.hits(f) == sum(f.query(k) for k in keys[:split])
+    probes.extend(keys[split:])  # only the new keys get hashed
+    assert probes.hits(f) == sum(f.query(k) for k in keys)
+    # a second shape gets its own positions and leaves the first one's intact
+    nbytes = (f.m_bits + 8) // 8
+    saturated = BloomFilter(f.m_bits + 1, f.k_hashes, bytearray(b"\xff" * nbytes), 1)
+    assert probes.hits(saturated) == len(keys)
+    assert probes.hits(f) == sum(f.query(k) for k in keys)
+
+
+def test_filter_verdict_same_for_probe_sets_and_lists():
+    attack_keys, benign_keys = reference_keys()
+    probes = ProbeSet(attack_keys), ProbeSet(benign_keys)
+    rng = random.Random(9)
+    for n_inserted in (0, 50, 150, 200):
+        f = BloomFilter(1024, 5)
+        for k in attack_keys[:n_inserted] + [rng.randbytes(41) for _ in range(40)]:
+            f.insert(k)
+        from_lists = validate_signature_filter(f, attack_keys, benign_keys, 0.7, 0.05)
+        assert validate_signature_filter(f, *probes, 0.7, 0.05) == from_lists
+    with pytest.raises(EmptyReference):
+        validate_signature_filter(f, ProbeSet(), probes[1], 0.7, 0.05)
+
+
+def test_verdict_must_agree_with_its_reason():
+    with pytest.raises(ValueError):
+        ValidationVerdict(True, 0.5, 0.7, VerdictReason.LOW_COVERAGE)
+    with pytest.raises(ValueError):
+        ValidationVerdict(False, 0.9, 0.7, VerdictReason.OK)
 
 
 # --- quorum -----------------------------------------------------------------
