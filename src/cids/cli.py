@@ -15,7 +15,7 @@ import sys
 
 from .bloom import MAX_K, analytic_fpr, optimal_k
 from .errors import CidsError, ConfigInvalid, MalformedBytes
-from .ledger import export_jsonl, first_invalid_height, import_jsonl
+from .ledger import Ledger, export_jsonl, first_invalid_height, import_jsonl
 from .simnet.config import config_from_dict
 from .simnet.engine import Simulation
 from .trust import TrustRecord, fold_trust
@@ -81,15 +81,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_ledger_verify(args) -> int:
+def _load_ledger(path: str) -> Ledger:
+    """Read and parse an exported ledger; `main` turns a failure into exit 2."""
     try:
-        with open(args.ledger) as fh:
-            text = fh.read()
-        ledger = import_jsonl(text)
+        with open(path) as fh:
+            return import_jsonl(fh.read())
     except OSError as exc:
-        return _fail_usage(f"cannot read ledger: {exc}")
-    except MalformedBytes as exc:
-        return _fail_usage(f"cannot parse ledger: {exc}")
+        raise CidsError(f"cannot read ledger: {exc}") from None
+    except (UnicodeDecodeError, MalformedBytes) as exc:
+        raise MalformedBytes(f"cannot parse ledger: {exc}") from None
+
+
+def cmd_ledger_verify(args) -> int:
+    ledger = _load_ledger(args.ledger)
     height = first_invalid_height(ledger)
     if height is None:
         sys.stdout.write(json.dumps({"valid": True, "blocks": len(ledger.blocks)}) + "\n")
@@ -122,14 +126,7 @@ def cmd_bloom_calc(args) -> int:
 
 
 def cmd_trust_report(args) -> int:
-    try:
-        with open(args.ledger) as fh:
-            ledger = import_jsonl(fh.read())
-    except OSError as exc:
-        return _fail_usage(f"cannot read ledger: {exc}")
-    except MalformedBytes as exc:
-        return _fail_usage(f"cannot parse ledger: {exc}")
-
+    ledger = _load_ledger(args.ledger)
     known: set[int] = set()
     for block in ledger.blocks[1:]:
         known.add(block.proposer)
@@ -149,6 +146,17 @@ def cmd_trust_report(args) -> int:
     return EXIT_OK
 
 
+def _add_ledger_command(sub, group: str, name: str, help_text: str, func) -> None:
+    """Register `cids GROUP NAME LEDGER` and its alias `cids GROUP-NAME LEDGER`."""
+    alias = sub.add_parser(f"{group}-{name}", help=help_text)
+    nested = (sub.add_parser(group, help=f"{group} inspection commands")
+              .add_subparsers(dest=f"{group}_command", required=True)
+              .add_parser(name, help=help_text))
+    for parser in (alias, nested):
+        parser.add_argument("ledger", help="exported ledger file (JSONL)")
+        parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cids", description="collaborative intrusion detection simulator"
@@ -166,15 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump content-store blobs into this directory")
     run_p.set_defaults(func=cmd_run)
 
-    lv = sub.add_parser("ledger-verify", help="re-check all chain invariants")
-    lv.add_argument("ledger", help="exported ledger file (JSONL)")
-    lv.set_defaults(func=cmd_ledger_verify)
-
-    ledger_group = sub.add_parser("ledger", help="ledger inspection commands")
-    ledger_sub = ledger_group.add_subparsers(dest="ledger_command", required=True)
-    lv2 = ledger_sub.add_parser("verify", help="re-check all chain invariants")
-    lv2.add_argument("ledger", help="exported ledger file (JSONL)")
-    lv2.set_defaults(func=cmd_ledger_verify)
+    _add_ledger_command(sub, "ledger", "verify", "re-check all chain invariants",
+                        cmd_ledger_verify)
 
     bc = sub.add_parser("bloom-calc", help="analytic FPR and optimal k")
     bc.add_argument("--m", type=int, required=True, help="filter size in bits")
@@ -182,15 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--k", type=int, default=None, help="hash count (default: optimal)")
     bc.set_defaults(func=cmd_bloom_calc)
 
-    tr = sub.add_parser("trust-report", help="fold the chain's trust updates")
-    tr.add_argument("ledger", help="exported ledger file (JSONL)")
-    tr.set_defaults(func=cmd_trust_report)
-
-    trust_group = sub.add_parser("trust", help="trust inspection commands")
-    trust_sub = trust_group.add_subparsers(dest="trust_command", required=True)
-    tr2 = trust_sub.add_parser("report", help="fold the chain's trust updates")
-    tr2.add_argument("ledger", help="exported ledger file (JSONL)")
-    tr2.set_defaults(func=cmd_trust_report)
+    _add_ledger_command(sub, "trust", "report", "fold the chain's trust updates",
+                        cmd_trust_report)
 
     return parser
 

@@ -11,6 +11,8 @@ Layout rules, applied uniformly across the package:
 import hashlib
 import struct
 
+from .errors import MalformedBytes
+
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 
@@ -43,8 +45,6 @@ class Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        from .errors import MalformedBytes
-
         if self.pos + n > len(self.data):
             raise MalformedBytes(f"truncated input: need {n} bytes at offset {self.pos}")
         chunk = self.data[self.pos : self.pos + n]
@@ -57,6 +57,9 @@ class Reader:
     def f64(self) -> float:
         return struct.unpack(">d", self.take(8))[0]
 
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
     def digest(self) -> bytes:
         return self.take(DIGEST_LEN)
 
@@ -67,7 +70,5 @@ class Reader:
         return self.pos == len(self.data)
 
     def expect_done(self) -> None:
-        from .errors import MalformedBytes
-
         if not self.done():
             raise MalformedBytes(f"{len(self.data) - self.pos} trailing bytes")

@@ -9,18 +9,14 @@ tamper evidence and a total order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import struct
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from operator import attrgetter
+from typing import NamedTuple, get_type_hints
 
-from .encoding import (
-    DIGEST_LEN,
-    ZERO_DIGEST,
-    Reader,
-    encode_digest,
-    encode_f64,
-    encode_u64,
-    sha256,
-)
+from .encoding import DIGEST_LEN, ZERO_DIGEST, Reader, sha256
 from .errors import MalformedBytes, NoAuthorities, WrongProposer
 
 
@@ -57,6 +53,9 @@ class Reason(IntEnum):
     ALARM_FALSE = 5
 
 
+_U64_LIMIT = 1 << 64
+
+
 def _check_digest(digest: bytes, name: str) -> None:
     if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
         raise ValueError(f"{name} must be exactly {DIGEST_LEN} bytes")
@@ -68,63 +67,117 @@ def _check_fraction(value: float, name: str) -> None:
 
 
 def _check_count(value: int, name: str) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
+    if not 0 <= value < _U64_LIMIT:
+        raise ValueError(f"{name} must be a u64 (0 <= value < 2**64), got {value}")
 
+
+class _Payload:
+    """Shared invariant of the payloads: each field checked by its schema type."""
+
+    def __post_init__(self):
+        for name, check in _PAYLOAD_CHECKS[type(self)]:
+            check(getattr(self, name), name)
+
+
+# A payload's fields, in declaration order, are its wire order. Field types:
+# bytes is a digest, int a u64, float an f64 in [0, 1], an IntEnum a 1-byte tag.
 
 @dataclass(frozen=True)
-class ModelContribution:
+class ModelContribution(_Payload):
     model_digest: bytes
     model_kind: ModelKind
     holdout_claimed_accuracy: float
 
-    def __post_init__(self):
-        _check_digest(self.model_digest, "model_digest")
-        _check_fraction(self.holdout_claimed_accuracy, "holdout_claimed_accuracy")
-
 
 @dataclass(frozen=True)
-class SignatureContribution:
+class SignatureContribution(_Payload):
     filter_digest: bytes
     n_items: int
     m_bits: int
     k_hashes: int
 
-    def __post_init__(self):
-        _check_digest(self.filter_digest, "filter_digest")
-        for name in ("n_items", "m_bits", "k_hashes"):
-            _check_count(getattr(self, name), name)
-
 
 @dataclass(frozen=True)
-class Alarm:
+class Alarm(_Payload):
     attack_class: AttackClass
     evidence_digest: bytes
     sim_time: int
 
-    def __post_init__(self):
-        _check_digest(self.evidence_digest, "evidence_digest")
-        _check_count(self.sim_time, "sim_time")
-
 
 @dataclass(frozen=True)
-class TrustUpdate:
+class TrustUpdate(_Payload):
     subject: int
     outcome: Outcome
     reason: Reason
 
-    def __post_init__(self):
-        _check_count(self.subject, "subject")
-
 
 Payload = ModelContribution | SignatureContribution | Alarm | TrustUpdate
 
-_PAYLOAD_KIND = {
-    ModelContribution: TxKind.MODEL_CONTRIBUTION,
-    SignatureContribution: TxKind.SIGNATURE_CONTRIBUTION,
-    Alarm: TxKind.ALARM,
-    TrustUpdate: TxKind.TRUST_UPDATE,
+
+class _EnumNames(dict):
+    """JSON name -> member of an IntEnum. The lowercase names that export
+    writes are plain keys; other casings resolve through the enum."""
+
+    def __init__(self, enum_cls: type[IntEnum]):
+        super().__init__((m.name.lower(), m) for m in enum_cls)
+        self.enum_cls = enum_cls
+
+    def __missing__(self, name):
+        if not isinstance(name, str):
+            raise TypeError(f"{self.enum_cls.__name__} must be named by a string, got {name!r}")
+        return self.enum_cls[name.upper()]
+
+
+class _Spec(NamedTuple):
+    """Everything the codecs need about one payload, derived from its class."""
+
+    cls: type
+    types: tuple[type, ...]  # field types in wire order
+    wire: struct.Struct  # kind tag and sender u64, then the fields
+    values: Callable  # payload -> its field values in wire order
+    checks: tuple[tuple[str, Callable], ...]
+    to_json: tuple[tuple[str, Callable | None], ...]  # None: the value as is
+    from_json: tuple[tuple[str, Callable], ...]
+
+
+_WIRE = {bytes: f"{DIGEST_LEN}s", int: "Q", float: "d"}  # an IntEnum is "B"
+_CHECKS = {bytes: _check_digest, int: _check_count, float: _check_fraction}
+
+
+def _json_codec(t: type) -> tuple[Callable | None, Callable]:
+    """(to JSON, from JSON) for a field type; None writes the value as is."""
+    if t is bytes:
+        return bytes.hex, bytes.fromhex
+    if t in (int, float):
+        return None, t
+    return {m: m.name.lower() for m in t}.__getitem__, _EnumNames(t).__getitem__
+
+
+def _spec(cls: type) -> _Spec:
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    types = tuple(hints[name] for name in names)
+    to_json, from_json = zip(*map(_json_codec, types))
+    return _Spec(
+        cls,
+        types,
+        struct.Struct(">BQ" + "".join(_WIRE.get(t, "B") for t in types)),
+        attrgetter(*names),  # returns a tuple: every payload has several fields
+        tuple((name, _CHECKS[t]) for name, t in zip(names, types) if t in _CHECKS),
+        tuple(zip(names, to_json)),
+        tuple(zip(names, from_json)),
+    )
+
+
+_SCHEMA: dict[TxKind, _Spec] = {
+    TxKind.MODEL_CONTRIBUTION: _spec(ModelContribution),
+    TxKind.SIGNATURE_CONTRIBUTION: _spec(SignatureContribution),
+    TxKind.ALARM: _spec(Alarm),
+    TxKind.TRUST_UPDATE: _spec(TrustUpdate),
 }
+_PAYLOAD_KIND = {spec.cls: kind for kind, spec in _SCHEMA.items()}
+_PAYLOAD_CHECKS = {spec.cls: spec.checks for spec in _SCHEMA.values()}
+_KIND_TO_JSON, _KIND_FROM_JSON = _json_codec(TxKind)
 
 
 @dataclass(frozen=True)
@@ -161,83 +214,40 @@ class Block:
         _check_count(self.sim_time, "sim_time")
 
 
+_BLOCK_HEADER = struct.Struct(f">Q{DIGEST_LEN}sQQQ")  # index, prev_hash, proposer, sim_time, n_txs
+
+
 def encode_tx(tx: Transaction) -> bytes:
-    out = bytes([tx.kind]) + encode_u64(tx.sender)
-    p = tx.payload
-    if isinstance(p, ModelContribution):
-        out += (
-            encode_digest(p.model_digest)
-            + bytes([p.model_kind])
-            + encode_f64(p.holdout_claimed_accuracy)
-        )
-    elif isinstance(p, SignatureContribution):
-        out += (
-            encode_digest(p.filter_digest)
-            + encode_u64(p.n_items)
-            + encode_u64(p.m_bits)
-            + encode_u64(p.k_hashes)
-        )
-    elif isinstance(p, Alarm):
-        out += bytes([p.attack_class]) + encode_digest(p.evidence_digest) + encode_u64(p.sim_time)
-    else:
-        out += encode_u64(p.subject) + bytes([p.outcome]) + bytes([p.reason])
-    return out
+    spec = _SCHEMA[tx.kind]
+    return spec.wire.pack(tx.kind, tx.sender, *spec.values(tx.payload))
 
 
 def canonical_encode(block: Block) -> bytes:
     """Deterministic encoding of everything but the hash field."""
-    out = (
-        encode_u64(block.index)
-        + encode_digest(block.prev_hash)
-        + encode_u64(block.proposer)
-        + encode_u64(block.sim_time)
-        + encode_u64(len(block.txs))
+    header = _BLOCK_HEADER.pack(
+        block.index, block.prev_hash, block.proposer, block.sim_time, len(block.txs)
     )
-    for tx in block.txs:
-        out += encode_tx(tx)
-    return out
-
-
-def _read_enum(r: Reader, enum_cls, name: str):
-    tag = r.tag()
-    try:
-        return enum_cls(tag)
-    except ValueError:
-        raise MalformedBytes(f"invalid {name} tag {tag}") from None
+    return header + b"".join(map(encode_tx, block.txs))
 
 
 def decode_tx(r: Reader) -> Transaction:
-    kind = _read_enum(r, TxKind, "transaction kind")
-    sender = r.u64()
+    tag = r.tag()
+    spec = _SCHEMA.get(tag)
+    if spec is None:
+        raise MalformedBytes(f"invalid transaction kind tag {tag}")
+    r.pos -= 1  # the tag is also the first item of the kind's struct
+    _, sender, *values = r.unpack(spec.wire)
     try:
-        if kind == TxKind.MODEL_CONTRIBUTION:
-            digest = r.digest()
-            model_kind = _read_enum(r, ModelKind, "model kind")
-            acc = r.f64()
-            payload: Payload = ModelContribution(digest, model_kind, acc)
-        elif kind == TxKind.SIGNATURE_CONTRIBUTION:
-            payload = SignatureContribution(r.digest(), r.u64(), r.u64(), r.u64())
-        elif kind == TxKind.ALARM:
-            attack_class = _read_enum(r, AttackClass, "attack class")
-            payload = Alarm(attack_class, r.digest(), r.u64())
-        else:
-            subject = r.u64()
-            outcome = _read_enum(r, Outcome, "outcome")
-            reason = _read_enum(r, Reason, "reason")
-            payload = TrustUpdate(subject, outcome, reason)
-    except ValueError as exc:
+        payload = spec.cls(*(t(v) for t, v in zip(spec.types, values)))
+    except ValueError as exc:  # an unknown enum tag or a failed payload check
         raise MalformedBytes(str(exc)) from None
-    return Transaction(kind, sender, payload)
+    return Transaction(TxKind(tag), sender, payload)
 
 
 def canonical_decode(data: bytes, block_hash: bytes) -> Block:
     """Inverse of canonical_encode; the hash field is supplied by the caller."""
     r = Reader(data)
-    index = r.u64()
-    prev_hash = r.digest()
-    proposer = r.u64()
-    sim_time = r.u64()
-    n_txs = r.u64()
+    index, prev_hash, proposer, sim_time, n_txs = r.unpack(_BLOCK_HEADER)
     if n_txs > len(data):  # cheap bound before allocating
         raise MalformedBytes(f"implausible tx count {n_txs}")
     txs = tuple(decode_tx(r) for _ in range(n_txs))
@@ -278,7 +288,9 @@ class Ledger:
         self.pending.append(tx)
 
     def select_proposer(self, height: int) -> int:
-        return select_proposer(self, height)
+        if not self.authorities:
+            raise NoAuthorities("authority list must be non-empty")
+        return self.authorities[height % len(self.authorities)]
 
     def seal_block(self, proposer: int, sim_time: int, txs: list[Transaction]) -> Block:
         scheduled = self.select_proposer(self.height)
@@ -298,9 +310,6 @@ class Ledger:
                     break
         return block
 
-    def verify_chain(self) -> bool:
-        return verify_chain(self)
-
     def scan(self, kind: TxKind, since_height: int = 0) -> list[tuple[int, Transaction]]:
         out = []
         for block in self.blocks[since_height:]:
@@ -312,12 +321,6 @@ class Ledger:
     def total_bytes(self) -> int:
         """Chain size: canonical encodings plus one stored hash per block."""
         return sum(len(canonical_encode(b)) + DIGEST_LEN for b in self.blocks)
-
-
-def select_proposer(ledger: Ledger, height: int) -> int:
-    if not ledger.authorities:
-        raise NoAuthorities("authority list must be non-empty")
-    return ledger.authorities[height % len(ledger.authorities)]
 
 
 def first_invalid_height(ledger: Ledger) -> int | None:
@@ -344,65 +347,20 @@ def verify_chain(ledger: Ledger) -> bool:
 # --- JSON-lines export / import -------------------------------------------
 
 def _tx_to_json(tx: Transaction) -> dict:
-    p = tx.payload
-    if isinstance(p, ModelContribution):
-        payload = {
-            "model_digest": p.model_digest.hex(),
-            "model_kind": p.model_kind.name.lower(),
-            "holdout_claimed_accuracy": p.holdout_claimed_accuracy,
-        }
-    elif isinstance(p, SignatureContribution):
-        payload = {
-            "filter_digest": p.filter_digest.hex(),
-            "n_items": p.n_items,
-            "m_bits": p.m_bits,
-            "k_hashes": p.k_hashes,
-        }
-    elif isinstance(p, Alarm):
-        payload = {
-            "attack_class": p.attack_class.name.lower(),
-            "evidence_digest": p.evidence_digest.hex(),
-            "sim_time": p.sim_time,
-        }
-    else:
-        payload = {
-            "subject": p.subject,
-            "outcome": p.outcome.name.lower(),
-            "reason": p.reason.name.lower(),
-        }
-    return {"kind": tx.kind.name.lower(), "sender": tx.sender, **payload}
+    spec = _SCHEMA[tx.kind]
+    out = {"kind": _KIND_TO_JSON(tx.kind), "sender": tx.sender}
+    for (name, to_json), value in zip(spec.to_json, spec.values(tx.payload)):
+        out[name] = value if to_json is None else to_json(value)
+    return out
 
 
 def _tx_from_json(obj: dict) -> Transaction:
     try:
-        kind = TxKind[obj["kind"].upper()]
+        kind = _KIND_FROM_JSON(obj["kind"])
         sender = int(obj["sender"])
-        if kind == TxKind.MODEL_CONTRIBUTION:
-            payload: Payload = ModelContribution(
-                bytes.fromhex(obj["model_digest"]),
-                ModelKind[obj["model_kind"].upper()],
-                float(obj["holdout_claimed_accuracy"]),
-            )
-        elif kind == TxKind.SIGNATURE_CONTRIBUTION:
-            payload = SignatureContribution(
-                bytes.fromhex(obj["filter_digest"]),
-                int(obj["n_items"]),
-                int(obj["m_bits"]),
-                int(obj["k_hashes"]),
-            )
-        elif kind == TxKind.ALARM:
-            payload = Alarm(
-                AttackClass[obj["attack_class"].upper()],
-                bytes.fromhex(obj["evidence_digest"]),
-                int(obj["sim_time"]),
-            )
-        else:
-            payload = TrustUpdate(
-                int(obj["subject"]),
-                Outcome[obj["outcome"].upper()],
-                Reason[obj["reason"].upper()],
-            )
-    except (KeyError, ValueError, TypeError) as exc:
+        spec = _SCHEMA[kind]
+        payload = spec.cls(*[parse(obj[name]) for name, parse in spec.from_json])
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedBytes(f"bad transaction record: {exc}") from None
     return Transaction(kind, sender, payload)
 
@@ -442,7 +400,7 @@ def import_jsonl(text: str, authorities: list[int] | None = None) -> Ledger:
                 tuple(_tx_from_json(t) for t in obj["txs"]),
                 bytes.fromhex(obj["hash"]),
             )
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise MalformedBytes(f"line {lineno}: {exc}") from None
         blocks.append(block)
     if not blocks:

@@ -132,6 +132,8 @@ class ScenarioConfig:
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("config must be a JSON object")
     try:
         cfg = ScenarioConfig(
             n_nodes=int(obj.get("n_nodes", 6)),
@@ -169,8 +171,6 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("config must be a JSON object")
     return config_from_dict(obj)
 
 

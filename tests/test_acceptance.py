@@ -318,3 +318,19 @@ def test_criterion_10_determinism(capsys):
     assert json.loads(other_seed)["seed"] == 43
     print(f"\nPASS criterion 10: identical config+seed -> byte-identical "
           f"{len(first)}-byte reports; changed seed -> different report")
+
+
+# Fingerprints of the frozen standard scenario at seed 42. A change that moves
+# the random stream, the report layout or either ledger encoding changes one
+# of these; such a change must update them and say why.
+STANDARD_REPORT_SHA256 = "cace924af802f8ab943aa5c5885793127b76ea1c3848e983fc4bb4c60d14a63c"
+STANDARD_CHAIN_HEAD = "e745cc215acab69e28907af27afc55085f81e7a6657e512a7d9d122cdac89a57"
+STANDARD_JSONL_SHA256 = "748c6934ca89c24e57c437d549aa259152f49611cfc8aa37184d431d4b97c2a8"
+
+
+def test_standard_fingerprints_pinned(standard_run):
+    sim, report, _ = standard_run
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == STANDARD_REPORT_SHA256
+    assert sim.ledger.blocks[-1].hash.hex() == STANDARD_CHAIN_HEAD
+    jsonl = export_jsonl(sim.ledger).encode()
+    assert hashlib.sha256(jsonl).hexdigest() == STANDARD_JSONL_SHA256

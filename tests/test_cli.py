@@ -3,7 +3,18 @@ import json
 import pytest
 
 from cids.cli import main
-from cids.ledger import Ledger, Outcome, Reason, Transaction, TrustUpdate, export_jsonl
+from cids.ledger import (
+    Alarm,
+    AttackClass,
+    Ledger,
+    ModelContribution,
+    ModelKind,
+    Outcome,
+    Reason,
+    Transaction,
+    TrustUpdate,
+    export_jsonl,
+)
 
 
 def mini_config_dict(seed=11):
@@ -142,6 +153,71 @@ def test_ledger_verify_detects_tampering(tmp_path, capsys):
     assert code == 1
     assert out["valid"] is False
     assert isinstance(out["first_invalid_height"], int)
+
+
+# tx index in the block below, field, and an integer standing in for the name
+ENUM_FIELDS = [(0, "kind"), (0, "model_kind"), (1, "attack_class"),
+               (2, "outcome"), (2, "reason")]
+
+
+@pytest.mark.parametrize("tx_index,field", ENUM_FIELDS,
+                         ids=[f for _i, f in ENUM_FIELDS])
+def test_ledger_commands_reject_non_string_enum_name(tmp_path, capsys, tx_index, field):
+    ledger = Ledger(authorities=[0])
+    ledger.seal_block(0, 10, [
+        Transaction.wrap(1, ModelContribution(b"\x01" * 32, ModelKind.SVM, 0.5)),
+        Transaction.wrap(2, Alarm(AttackClass.DOS, b"\x02" * 32, 7)),
+        Transaction.wrap(0, TrustUpdate(1, Outcome.POSITIVE, Reason.MODEL_ACCEPTED)),
+    ])
+    lines = export_jsonl(ledger).splitlines()
+    block = json.loads(lines[1])
+    block["txs"][tx_index][field] = 2
+    lines[1] = json.dumps(block, sort_keys=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["ledger", "verify", str(bad)]) == 2
+    assert main(["trust", "report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse ledger" in captured.err
+
+
+# a JSON literal that decodes but cannot be a u64
+OUT_OF_RANGE = [("tx", "sender", "18446744073709551616"), ("tx", "sender", "Infinity"),
+                ("block", "sim_time", "1" + "0" * 30), ("block", "index", "-Infinity")]
+
+
+@pytest.mark.parametrize("where,field,literal", OUT_OF_RANGE,
+                         ids=[f"{w}-{f}-{lit[:8]}" for w, f, lit in OUT_OF_RANGE])
+def test_ledger_commands_reject_out_of_range_integers(tmp_path, capsys, where, field, literal):
+    ledger = Ledger(authorities=[0])
+    ledger.seal_block(0, 10, [Transaction.wrap(2, Alarm(AttackClass.DOS, b"\x02" * 32, 7))])
+    lines = export_jsonl(ledger).splitlines()
+    block = json.loads(lines[1])
+    (block["txs"][0] if where == "tx" else block)[field] = "@"
+    lines[1] = json.dumps(block, sort_keys=True).replace('"@"', literal)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["ledger", "verify", str(bad)]) == 2
+    assert main(["trust", "report", str(bad)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_ledger_commands_reject_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe not a ledger\n")
+    assert main(["ledger-verify", str(bad)]) == 2
+    assert main(["trust-report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse ledger" in captured.err
+
+
+def test_ledger_commands_missing_file(tmp_path, capsys):
+    absent = str(tmp_path / "absent.jsonl")
+    assert main(["ledger", "verify", absent]) == 2
+    assert main(["trust", "report", absent]) == 2
+    assert capsys.readouterr().err.count("error: cannot read ledger") == 2
 
 
 def test_ledger_verify_empty_file(tmp_path, capsys):

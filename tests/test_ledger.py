@@ -1,10 +1,13 @@
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cids.encoding import ZERO_DIGEST
-from cids.errors import MalformedBytes, NoAuthorities, WrongProposer
+from cids.errors import CidsError, MalformedBytes, NoAuthorities, WrongProposer
 from cids.ledger import (
     Alarm,
     AttackClass,
@@ -12,15 +15,19 @@ from cids.ledger import (
     Ledger,
     ModelContribution,
     ModelKind,
+    Outcome,
+    Reason,
+    SignatureContribution,
     Transaction,
+    TrustUpdate,
     TxKind,
     canonical_decode,
     canonical_encode,
+    encode_tx,
     export_jsonl,
     first_invalid_height,
     import_jsonl,
     make_genesis,
-    select_proposer,
     verify_chain,
 )
 from util import build_chain, random_tx
@@ -95,9 +102,9 @@ def test_flipped_tx_byte_detected():
 
 def test_select_proposer_rotation():
     ledger = Ledger(authorities=[3, 7, 9])
-    assert select_proposer(ledger, 0) == 3
-    assert select_proposer(ledger, 5) == 9
-    assert select_proposer(Ledger(authorities=[4]), 3) == 4
+    assert ledger.select_proposer(0) == 3
+    assert ledger.select_proposer(5) == 9
+    assert Ledger(authorities=[4]).select_proposer(3) == 4
 
 
 def test_no_authorities():
@@ -229,3 +236,115 @@ def test_transaction_invariants():
         ModelContribution(b"\x01" * 32, ModelKind.SVM, 1.5)
     with pytest.raises(ValueError):
         Alarm(AttackClass.DOS, b"\x01" * 32, -1)
+
+
+# One fixed transaction per kind: its wire bytes and its exported block line.
+GOLDEN_TXS = [
+    (
+        Transaction.wrap(1, ModelContribution(b"\x11" * 32, ModelKind.SVM, 0.9137)),
+        "00" "0000000000000001" + "11" * 32 + "00" "3fed3d07c84b5dcc",
+        '{"holdout_claimed_accuracy": 0.9137, "kind": "model_contribution", '
+        '"model_digest": "' + "11" * 32 + '", "model_kind": "svm", "sender": 1}',
+        "08284a88d1ed07f9525e7109198179327b7798b1a75f06cb9034ad40d27dbb43",
+    ),
+    (
+        Transaction.wrap(2, SignatureContribution(b"\x22" * 32, 1096, 10000, 7)),
+        "01" "0000000000000002" + "22" * 32
+        + "0000000000000448" "0000000000002710" "0000000000000007",
+        '{"filter_digest": "' + "22" * 32 + '", "k_hashes": 7, '
+        '"kind": "signature_contribution", "m_bits": 10000, "n_items": 1096, "sender": 2}',
+        "57551e26a2a15dbcd718a7f70e3ac926b2adaef2b1c5d9833d903567a254b693",
+    ),
+    (
+        Transaction.wrap(3, Alarm(AttackClass.REPLAY, b"\x33" * 32, 1234)),
+        "02" "0000000000000003" "03" + "33" * 32 + "00000000000004d2",
+        '{"attack_class": "replay", "evidence_digest": "' + "33" * 32 + '", '
+        '"kind": "alarm", "sender": 3, "sim_time": 1234}',
+        "1cdd51172227d46995be90431eb6e52bd8f9db62b0ec0f7469b61cd1c64c8162",
+    ),
+    (
+        Transaction.wrap(4, TrustUpdate(5, Outcome.NEGATIVE, Reason.FILTER_REJECTED)),
+        "03" "0000000000000004" "0000000000000005" "01" "03",
+        '{"kind": "trust_update", "outcome": "negative", "reason": "filter_rejected", '
+        '"sender": 4, "subject": 5}',
+        "37f898320c56a14fa1fbca2fab6434986833b528604061de8b1dd3c2ac4c4995",
+    ),
+]
+
+
+@pytest.mark.parametrize("tx,wire_hex,tx_json,block_hash", GOLDEN_TXS,
+                         ids=[t.kind.name.lower() for t, *_ in GOLDEN_TXS])
+def test_golden_tx_encodings(tx, wire_hex, tx_json, block_hash):
+    assert encode_tx(tx).hex() == wire_hex
+    ledger = Ledger(authorities=[0])
+    ledger.seal_block(0, 10, [tx])
+    genesis_hash = ledger.blocks[0].hash.hex()
+    assert export_jsonl(ledger).splitlines()[1] == (
+        f'{{"hash": "{block_hash}", "index": 1, "prev_hash": "{genesis_hash}", '
+        f'"proposer": 0, "sim_time": 10, "txs": [{tx_json}]}}'
+    )
+
+
+# --- property tests over both codecs ----------------------------------------
+
+digests = st.binary(min_size=32, max_size=32)
+u64s = st.integers(0, 2**64 - 1)
+transactions = st.builds(
+    Transaction.wrap,
+    u64s,
+    st.one_of(
+        st.builds(ModelContribution, digests, st.sampled_from(ModelKind),
+                  st.floats(0.0, 1.0)),
+        st.builds(SignatureContribution, digests, u64s, u64s, u64s),
+        st.builds(Alarm, st.sampled_from(AttackClass), digests, u64s),
+        st.builds(TrustUpdate, u64s, st.sampled_from(Outcome), st.sampled_from(Reason)),
+    ),
+)
+blocks = st.builds(Block, u64s, digests, u64s, u64s,
+                   st.lists(transactions, max_size=4).map(tuple), digests)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**65) | st.floats()
+    | st.text(max_size=70),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks)
+def test_canonical_round_trip_property(block):
+    assert canonical_decode(canonical_encode(block), block.hash) == block
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(blocks, min_size=1, max_size=3))
+def test_jsonl_round_trip_property(chain):
+    ledger = Ledger(authorities=[0], blocks=chain)
+    assert import_jsonl(export_jsonl(ledger)).blocks == chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300) | blocks.map(canonical_encode).flatmap(
+    lambda enc: st.tuples(st.integers(0, len(enc)), st.binary(max_size=3)).map(
+        lambda cut: enc[: cut[0]] + cut[1] + enc[cut[0] + len(cut[1]):])))
+def test_canonical_decode_hostile_bytes_raise_package_errors(data):
+    try:
+        canonical_decode(data, ZERO_DIGEST)
+    except CidsError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks.filter(lambda b: b.txs), st.data())
+def test_import_jsonl_hostile_field_raises_package_errors(block, data):
+    record = json.loads(export_jsonl(Ledger(authorities=[0], blocks=[block])))
+    target = data.draw(st.sampled_from([record, *record["txs"]]))
+    target[data.draw(st.sampled_from(sorted(target)))] = data.draw(json_values)
+    try:
+        imported = import_jsonl(json.dumps(record))
+    except CidsError:
+        return
+    # whatever imports must also encode, as verification does, without a raw exception
+    for imported_block in imported.blocks:
+        canonical_encode(imported_block)

@@ -3,7 +3,7 @@ import pytest
 
 from cids.detection import EventRecord, Flags, extract_features
 from cids.errors import ConfigInvalid, EmptyHistory
-from cids.ledger import TxKind
+from cids.ledger import TxKind, verify_chain
 from cids.simnet import (
     AdversarySpec,
     AttackPools,
@@ -86,6 +86,12 @@ def test_bad_authority_rejected():
         config_from_dict({"n_nodes": 3, "authorities": [0, 7]})
     with pytest.raises(ConfigInvalid):
         config_from_dict({"authorities": []})
+
+
+@pytest.mark.parametrize("obj", [[], [{"duration": 100}], "standard", 7, None])
+def test_non_object_config_rejected(obj):
+    with pytest.raises(ConfigInvalid):
+        config_from_dict(obj)
 
 
 def test_unknown_attack_class_rejected():
@@ -432,7 +438,7 @@ def test_poison_filter_rejected():
 
 def test_chain_verifies_after_run(mini_run):
     sim, _report = mini_run
-    assert sim.ledger.verify_chain()
+    assert verify_chain(sim.ledger)
     assert sim.store.self_check()
 
 
