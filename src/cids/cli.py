@@ -36,7 +36,7 @@ def cmd_run(args) -> int:
             raw = json.load(fh)
     except OSError as exc:
         return _fail_usage(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail_usage(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         return _fail_usage("config must be a JSON object")

@@ -73,24 +73,54 @@ def sig_match(signature_filter: BloomFilter, event: EventRecord) -> bool:
     return signature_filter.query(signature_key(event))
 
 
-def extract_features(window: list[EventRecord], window_ticks: int) -> np.ndarray:
+@dataclass(frozen=True)
+class WindowColumns:
+    """A window as its features read it: each event's tick, in time order, plus tallies.
+
+    The sets hold distinct values; the counts are over events.
+    """
+
+    times: np.ndarray  # int64, one entry per event
+    payload_total: int
+    syn: int
+    conflicts: int  # events whose claimed identity is not their source
+    ports: set[int]
+    digests: set[bytes]
+    destinations: set[int]
+
+    @classmethod
+    def from_events(cls, events: list[EventRecord]) -> WindowColumns:
+        return cls(
+            np.array([e.sim_time for e in events], dtype=np.int64),
+            sum(e.payload_len for e in events),
+            sum(1 for e in events if int.__and__(e.flags, _SYN_BIT)),
+            sum(1 for e in events if e.claimed_src_identity != e.src),
+            {e.dst_port for e in events},
+            {e.payload_digest for e in events},
+            {e.dst for e in events},
+        )
+
+
+def extract_features(window: WindowColumns | list[EventRecord],
+                     window_ticks: int) -> np.ndarray:
     """8 features over a window of time-ordered events; empty window is all zero."""
     if window_ticks < 1:
         raise ValueError("window_ticks must be >= 1")
+    if not isinstance(window, WindowColumns):
+        window = WindowColumns.from_events(window)
     out = np.zeros(N_FEATURES)
-    if not window:
+    n = len(window.times)
+    if not n:
         return out
-    n = len(window)
     out[0] = n / window_ticks
-    out[1] = sum(e.payload_len for e in window) / n
-    out[2] = len({e.dst_port for e in window})
-    out[3] = sum(1 for e in window if int.__and__(e.flags, _SYN_BIT)) / n
-    out[4] = 1.0 - len({e.payload_digest for e in window}) / n
-    out[5] = sum(1 for e in window if e.claimed_src_identity != e.src)
-    out[6] = len({e.dst for e in window})
+    out[1] = window.payload_total / n
+    out[2] = len(window.ports)
+    out[3] = window.syn / n
+    out[4] = 1.0 - len(window.digests) / n
+    out[5] = window.conflicts
+    out[6] = len(window.destinations)
     if n >= 2:
-        gaps = np.diff([e.sim_time for e in window])
-        out[7] = float(np.var(gaps))
+        out[7] = float(np.var(np.diff(window.times)))
     return out
 
 

@@ -13,7 +13,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple, get_type_hints
 
 from .encoding import DIGEST_LEN, ZERO_DIGEST, Reader, sha256
@@ -303,12 +303,18 @@ class Ledger:
         h = block_hash(self.height, prev.hash, proposer, sim_time, tuple(txs))
         block = Block(self.height, prev.hash, proposer, sim_time, tuple(txs), h)
         self.blocks.append(block)
-        for tx in txs:
-            for i, p in enumerate(self.pending):
-                if p is tx:
-                    del self.pending[i]
-                    break
+        self.discard(txs)
         return block
+
+    def discard(self, txs: list[Transaction]) -> None:
+        """Drop these submissions from pending, matched by identity, in one pass."""
+        pending = self.pending
+        # usual case, tested first as it costs no set: all of pending, in submission order
+        if len(pending) <= len(txs) and all(map(is_, pending, txs)):
+            pending.clear()
+        elif txs:
+            gone = set(map(id, txs))
+            pending[:] = [tx for tx in pending if id(tx) not in gone]
 
     def scan(self, kind: TxKind, since_height: int = 0) -> list[tuple[int, Transaction]]:
         out = []

@@ -169,7 +169,7 @@ def load_config(path: str) -> ScenarioConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
     return config_from_dict(obj)
 

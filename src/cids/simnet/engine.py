@@ -25,6 +25,7 @@ from ..detection import (
     EventRecord,
     Flags,
     LabeledDataset,
+    WindowColumns,
     extract_features,
     model_deserialize,
     model_serialize,
@@ -53,9 +54,17 @@ from ..trust import (
 )
 from .config import ATTACK_CLASS_NAMES, AttackSpec, ScenarioConfig
 from .generators import (
+    BENIGN_FLAG_SYN,
     DOS_COLLATERAL,
+    DOS_PAYLOAD_LEN,
+    DOS_PORT,
+    RECON_PORT_BASE,
+    SPOOF_PAYLOAD_LEN,
     AttackPools,
     BenignPool,
+    draw_dos,
+    draw_recon,
+    draw_spoof,
     gen_benign,
     gen_dos,
     gen_recon,
@@ -125,27 +134,64 @@ class Simulation:
 
     def _synth_window(self, pool: BenignPool, pools: AttackPools,
                       spec: AttackSpec | None, rng: np.random.Generator) -> np.ndarray:
+        """Features of one labelled window at node 0, tallied straight from its draws.
+
+        The draws are the generators' own, in their order, so the features and
+        the generator state equal those of the time-ordered window of
+        EventRecords that `one_event` and `gen_*` would emit.
+        """
         cfg = self.config
         wt = cfg.window_ticks
-        events = []
-        for tick in range(1, wt + 1):
-            for _ in range(int(rng.poisson(pool.profile.rate))):
-                events.append(pool.one_event(tick, 0, cfg.n_nodes, rng))
+        counts = []  # events per tick
+        payload_total = syn = conflicts = 0
+        ports: set[int] = set()
+        digests: set[bytes] = set()
+        for _ in range(wt):
+            n = int(rng.poisson(pool.profile.rate))
+            counts.append(n)
+            for _ in range(n):
+                _src, length, port, digest, flag = pool.draw_event(cfg.n_nodes, rng)
+                payload_total += length
+                ports.add(port)
+                digests.add(digest)
+                syn += BENIGN_FLAG_SYN[flag]
         if spec is not None:
             synth = AttackSpec(spec.attack_class, start=1, length=wt, target=0,
                                intensity=spec.intensity)
             if spec.attack_class == "dos":
-                emissions = gen_dos(synth, pools, pool.profile, 1, rng)
+                (per_tick,), rows = draw_dos(synth, pools, pool.profile, 1, rng)
+                payload_total += DOS_PAYLOAD_LEN * len(rows)
+                syn += len(rows)
+                ports.add(DOS_PORT)
+                digests.update(pools.dos_payloads[i] for i in set(rows[:, 1].tolist()))
             elif spec.attack_class == "spoof":
-                emissions = gen_spoof(synth, pools, pool.profile, cfg.n_nodes, rng)
+                block = draw_spoof(synth, pools, pool.profile, cfg.n_nodes, rng)
+                per_tick = block.shape[2]
+                rows = block[:, 0].reshape(-1, 3)  # node 0's events
+                payload_total += SPOOF_PAYLOAD_LEN * len(rows)
+                conflicts += len(rows)  # a claimed src + 1 + offset is never src
+                ports.add(0)  # ARP replies carry no port
+                digests.update(pools.spoof_payloads[i] for i in set(rows[:, 2].tolist()))
             elif spec.attack_class == "recon":
-                emissions = gen_recon(synth, pools, pool.profile, 1, rng)
+                per_tick, _src = draw_recon(synth, pool.profile, 1, rng)
+                syn += per_tick * wt
+                ports.update(range(RECON_PORT_BASE, RECON_PORT_BASE + per_tick * wt))
+                digests.add(pools.recon_probe)
             else:
+                per_tick = 0
                 captured = [pool.one_event(0, 0, cfg.n_nodes, rng) for _ in range(50)]
-                emissions = gen_replay(synth, pool.profile, captured, rng)
-            events.extend(e for _t, n, e in emissions if n == 0)
-        events.sort(key=lambda e: e.sim_time)
-        return extract_features(events, wt)
+                for tick, _node, e in gen_replay(synth, pool.profile, captured, rng):
+                    counts[tick - 1] += 1
+                    payload_total += e.payload_len
+                    ports.add(e.dst_port)
+                    digests.add(e.payload_digest)
+                    syn += int.__and__(e.flags, Flags.SYN) != 0
+                    conflicts += e.claimed_src_identity != e.src
+            counts = [n + per_tick for n in counts]
+        # every synthesised event is addressed to node 0
+        window = WindowColumns(np.repeat(np.arange(1, wt + 1), counts), payload_total,
+                               syn, conflicts, ports, digests, {0})
+        return extract_features(window, wt)
 
     def _bootstrap_variants(self) -> list[AttackSpec]:
         """One synthesis profile per configured attack, plus DoS collateral."""
@@ -444,8 +490,9 @@ class Simulation:
         cfg = self.config
         included: list[Transaction] = []
         outcomes: list[Transaction] = []
+        rejected: list[Transaction] = []
         proposer = self.ledger.select_proposer(self.ledger.height)
-        for tx in list(self.ledger.pending):
+        for tx in self.ledger.pending:
             if tx.kind == TxKind.ALARM:
                 included.append(tx)
                 continue
@@ -464,7 +511,8 @@ class Simulation:
                     report.rejected_model_contributions += 1
                 else:
                     report.rejected_filter_contributions += 1
-                self.ledger.pending.remove(tx)
+                rejected.append(tx)
+        self.ledger.discard(rejected)
         block = self.ledger.seal_block(proposer, t, included + outcomes)
         for tx in block.txs:
             if tx.kind == TxKind.TRUST_UPDATE:

@@ -2,6 +2,9 @@
 
 Every generator yields (tick, observer, EventRecord) triples for its whole
 span, so a run can be fully precomputed and is a pure function of the seed.
+The `draw_*` steps (and `BenignPool.draw_event`) make a generator's random
+draws on their own, so a caller that needs only counts and tallies, such as
+the bootstrap, consumes the stream exactly as the generator would.
 Attack visibility models desk-scale IoT assumptions: a flood splashes
 collateral traffic on every gateway, ARP spoofing is broadcast, a port scan
 sweeps all subnets on the same ports, a replay targets a single session.
@@ -48,6 +51,8 @@ def _choice_cdf(weights: tuple[float, ...]) -> list[float]:
 
 
 _FLAG_CDF = _choice_cdf(BENIGN_FLAG_WEIGHTS)
+# per flag-set index: 1 if it carries SYN (a plain-int table, no IntFlag arithmetic per event)
+BENIGN_FLAG_SYN = tuple(int(Flags.SYN in flags) for flags in BENIGN_FLAG_CHOICES)
 
 
 @dataclass
@@ -86,21 +91,22 @@ class BenignPool:
                     )
         return keys
 
-    def one_event(self, tick: int, node: int, n_nodes: int,
-                  rng: np.random.Generator) -> EventRecord:
+    def draw_event(self, n_nodes: int,
+                   rng: np.random.Generator) -> tuple[int, int, int, bytes, int]:
+        """One event's draws, in stream order: (src, payload_len, dst_port,
+        payload_digest, index into BENIGN_FLAG_CHOICES)."""
         src = int(rng.integers(n_nodes))
         length = max(1, int(rng.normal(self.profile.payload_len_mean,
                                        self.profile.payload_len_std)))
-        return EventRecord(
-            sim_time=tick,
-            src=src,
-            dst=node,
-            dst_port=BENIGN_PORTS[rng.integers(len(BENIGN_PORTS))],
-            payload_digest=self.payloads[rng.integers(len(self.payloads))],
-            payload_len=length,
-            flags=BENIGN_FLAG_CHOICES[bisect_right(_FLAG_CDF, rng.random())],
-            claimed_src_identity=src,
-        )
+        port = BENIGN_PORTS[rng.integers(len(BENIGN_PORTS))]
+        digest = self.payloads[rng.integers(len(self.payloads))]
+        return src, length, port, digest, bisect_right(_FLAG_CDF, rng.random())
+
+    def one_event(self, tick: int, node: int, n_nodes: int,
+                  rng: np.random.Generator) -> EventRecord:
+        src, length, port, digest, flag = self.draw_event(n_nodes, rng)
+        return EventRecord(tick, src, node, port, digest, length,
+                           BENIGN_FLAG_CHOICES[flag], src)
 
 
 def gen_benign(pool: BenignPool, n_nodes: int, duration: int,
@@ -115,15 +121,25 @@ def gen_benign(pool: BenignPool, n_nodes: int, duration: int,
     return out
 
 
-def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-            n_nodes: int, rng: np.random.Generator) -> list[Emission]:
-    """SYN flood: full intensity at the target, collateral everywhere else."""
+def draw_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+             n_nodes: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
+    """A flood's events per tick at each node, and its (src, payload index) rows.
+
+    Rows run tick by tick, node by node; one bulk draw yields the pairs a
+    per-event loop would draw, and leaves the generator in the same state.
+    """
     full = _count(spec.intensity, profile.rate)
     collateral = _count(DOS_COLLATERAL * spec.intensity, profile.rate)
     counts = [full if node == spec.target else collateral for node in range(n_nodes)]
-    # one bulk draw yields the (src, payload) pairs a per-event loop would draw
     highs = np.tile([n_nodes, len(pools.dos_payloads)], sum(counts) * spec.length)
-    draws = iter(rng.integers(0, highs).reshape(-1, 2).tolist())
+    return counts, rng.integers(0, highs).reshape(-1, 2)
+
+
+def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+            n_nodes: int, rng: np.random.Generator) -> list[Emission]:
+    """SYN flood: full intensity at the target, collateral everywhere else."""
+    counts, rows = draw_dos(spec, pools, profile, n_nodes, rng)
+    draws = iter(rows.tolist())
     out = []
     for tick in range(spec.start, spec.start + spec.length):
         for node, count in enumerate(counts):
@@ -147,13 +163,24 @@ def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
     return out
 
 
+def draw_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+               n_nodes: int, rng: np.random.Generator) -> np.ndarray:
+    """A spoofing run's (tick, node, event, 3) block of (src, offset, payload index).
+
+    The claimed identity is src + 1 + offset: spoofed identities need not be
+    real node ids, only mismatched. One bulk draw, as for `draw_dos`.
+    """
+    count = max(1, _count(spec.intensity, profile.rate))
+    highs = np.tile([n_nodes, 16, len(pools.spoof_payloads)], count * n_nodes * spec.length)
+    return rng.integers(0, highs).reshape(spec.length, n_nodes, count, 3)
+
+
 def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
               n_nodes: int, rng: np.random.Generator) -> list[Emission]:
     """ARP-style spoofing, broadcast: claimed identity never matches the source."""
-    count = max(1, _count(spec.intensity, profile.rate))
-    # spoofed identities need not be real node ids, only mismatched: src + 1 + [0, 16)
-    highs = np.tile([n_nodes, 16, len(pools.spoof_payloads)], count * n_nodes * spec.length)
-    draws = iter(rng.integers(0, highs).reshape(-1, 3).tolist())
+    block = draw_spoof(spec, pools, profile, n_nodes, rng)
+    count = block.shape[2]
+    draws = iter(block.reshape(-1, 3).tolist())
     out = []
     for tick in range(spec.start, spec.start + spec.length):
         for node in range(n_nodes):
@@ -177,12 +204,17 @@ def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
     return out
 
 
+def draw_recon(spec: AttackSpec, profile: BenignProfile, n_nodes: int,
+               rng: np.random.Generator) -> tuple[int, int]:
+    """A sweep's probes per tick at each node, and its one draw: the scanning source."""
+    return max(1, _count(spec.intensity, profile.rate)), int(rng.integers(n_nodes))
+
+
 def gen_recon(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
               n_nodes: int, rng: np.random.Generator) -> list[Emission]:
     """Horizontal port sweep: strictly ascending ports, one per probe."""
     out = []
-    per_tick = max(1, _count(spec.intensity, profile.rate))
-    src = int(rng.integers(n_nodes))
+    per_tick, src = draw_recon(spec, profile, n_nodes, rng)
     index = 0
     for tick in range(spec.start, spec.start + spec.length):
         base = index

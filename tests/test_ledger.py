@@ -63,6 +63,25 @@ def test_seal_on_genesis():
     assert ledger.pending == []
 
 
+def test_pending_removed_by_identity():
+    # equal transactions are still separate submissions: sealing or
+    # discarding one of them leaves the others pending
+    ledger = Ledger(authorities=[0])
+    first, second, third = (Transaction.wrap(3, Alarm(AttackClass.DOS, bytes(32), 5))
+                            for _ in range(3))
+    assert first == second == third
+    for tx in (first, second, third):
+        ledger.submit(tx)
+    ledger.seal_block(0, 10, [second])
+    assert [id(tx) for tx in ledger.pending] == [id(first), id(third)]
+    ledger.discard([third])
+    assert [id(tx) for tx in ledger.pending] == [id(first)]
+    ledger.discard([second, third])  # as many as pending, and equal, but not the same
+    assert [id(tx) for tx in ledger.pending] == [id(first)]
+    ledger.discard([first, second])
+    assert ledger.pending == []
+
+
 def test_wrong_proposer_rejected():
     ledger = Ledger(authorities=[0, 1, 2])
     with pytest.raises(WrongProposer):

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cids.detection import EventRecord, Flags, extract_features
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cids.detection import EventRecord, Flags, WindowColumns, extract_features
 from cids.errors import ConfigInvalid, EmptyHistory
 from cids.ledger import TxKind, verify_chain
 from cids.simnet import (
@@ -20,6 +25,7 @@ from cids.simnet import (
     gen_recon,
     gen_replay,
     gen_spoof,
+    load_config,
     run,
     standard_scenario,
 )
@@ -30,6 +36,7 @@ from cids.simnet.generators import (
     DOS_COLLATERAL,
     DOS_PAYLOAD_LEN,
     DOS_PORT,
+    RECON_PORT_BASE,
     REPLAY_POOL,
     SPOOF_PAYLOAD_LEN,
 )
@@ -92,6 +99,13 @@ def test_bad_authority_rejected():
 def test_non_object_config_rejected(obj):
     with pytest.raises(ConfigInvalid):
         config_from_dict(obj)
+
+
+def test_non_utf8_config_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigInvalid):
+        load_config(str(path))
 
 
 def test_unknown_attack_class_rejected():
@@ -357,6 +371,133 @@ def test_bulk_replay_draws_match_scalar_loop(seed, half_used, length, n_payloads
     assert bulk.bit_generator.state == ref.bit_generator.state
 
 
+# --- columnar bootstrap windows equal the EventRecord windows -----------------
+# `reference_synth_window` is `Simulation._synth_window` as first written: it
+# builds every EventRecord with the scalar generators above, sorts them and
+# reduces them with `reference_features`, the list formula of
+# `extract_features` as first written. The columnar window must give the same
+# feature bytes and leave the generator in the same state.
+
+def reference_features(window, window_ticks):
+    out = np.zeros(8)
+    if not window:
+        return out
+    n = len(window)
+    out[0] = n / window_ticks
+    out[1] = sum(e.payload_len for e in window) / n
+    out[2] = len({e.dst_port for e in window})
+    out[3] = sum(1 for e in window if Flags.SYN in e.flags) / n
+    out[4] = 1.0 - len({e.payload_digest for e in window}) / n
+    out[5] = sum(1 for e in window if e.claimed_src_identity != e.src)
+    out[6] = len({e.dst for e in window})
+    if n >= 2:
+        out[7] = float(np.var(np.diff([e.sim_time for e in window])))
+    return out
+
+
+def scalar_recon(spec, pools, profile, n_nodes, rng):
+    out = []
+    per_tick = max(1, _count(spec.intensity, profile.rate))
+    src = int(rng.integers(n_nodes))
+    for k, tick in enumerate(range(spec.start, spec.start + spec.length)):
+        for node in range(n_nodes):
+            for i in range(per_tick):
+                port = RECON_PORT_BASE + k * per_tick + i
+                out.append((tick, node, EventRecord(tick, src, node, port, pools.recon_probe, 0,
+                                                    Flags.SYN, src)))
+    return out
+
+
+def reference_synth_window(cfg, pool, pools, spec, rng):
+    wt = cfg.window_ticks
+    events = []
+    for tick in range(1, wt + 1):
+        for _ in range(int(rng.poisson(pool.profile.rate))):
+            events.append(scalar_one_event(pool, tick, 0, cfg.n_nodes, rng))
+    if spec is not None:
+        synth = AttackSpec(spec.attack_class, start=1, length=wt, target=0,
+                           intensity=spec.intensity)
+        if spec.attack_class == "dos":
+            emissions = scalar_dos(synth, pools, pool.profile, 1, rng)
+        elif spec.attack_class == "spoof":
+            emissions = scalar_spoof(synth, pools, pool.profile, cfg.n_nodes, rng)
+        elif spec.attack_class == "recon":
+            emissions = scalar_recon(synth, pools, pool.profile, 1, rng)
+        else:
+            captured = [scalar_one_event(pool, 0, 0, cfg.n_nodes, rng) for _ in range(50)]
+            emissions = scalar_replay(synth, pool.profile, captured, rng)
+        events.extend(e for _t, n, e in emissions if n == 0)
+    events.sort(key=lambda e: e.sim_time)
+    return reference_features(events, wt)
+
+
+def bootstrap_sim(n_nodes, window_ticks, rate):
+    return Simulation(ScenarioConfig(
+        n_nodes=n_nodes, authorities=[0], duration=400, window_ticks=window_ticks,
+        benign=BenignProfile(rate=rate),
+        attacks=[AttackSpec("dos", 10, 20, 0, 20.0), AttackSpec("spoof", 40, 20, 0, 1.0),
+                 AttackSpec("recon", 70, 20, 0, 2.7), AttackSpec("replay", 100, 20, 0, 2.5)],
+    ))
+
+
+def test_bootstrap_variants_cover_every_class_and_dos_collateral():
+    variants = bootstrap_sim(6, 20, 3.0)._bootstrap_variants()
+    assert [(v.attack_class, v.intensity) for v in variants] == [
+        ("dos", 20.0), ("dos", 6.0), ("spoof", 1.0), ("recon", 2.7), ("replay", 2.5)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [1, 6])
+@pytest.mark.parametrize("window_ticks", [1, 20])
+@pytest.mark.parametrize("rate", [3.0, 0.0])
+@pytest.mark.parametrize("shared_digests", [False, True])
+def test_synth_window_matches_event_record_window(seed, n_nodes, window_ticks, rate,
+                                                   shared_digests):
+    sim = bootstrap_sim(n_nodes, window_ticks, rate)
+    _, pool, pools = profile_and_pools(seed)
+    pool.profile = sim.config.benign
+    if shared_digests:
+        # repeated digests and digests shared between pools: distinct-payload
+        # counts must go by digest bytes, not by pool index
+        pool.payloads = pool.payloads[:8] * 4
+        pools.dos_payloads = pool.payloads[:2] * 8
+        pools.spoof_payloads = pool.payloads[4:12] * 2
+        pools.recon_probe = pool.payloads[5]
+    columns, ref = twin_rngs(seed, False)
+    for spec in [None, *sim._bootstrap_variants()]:
+        for _ in range(3):
+            got = sim._synth_window(pool, pools, spec, columns)
+            want = reference_synth_window(sim.config, pool, pools, spec, ref)
+            assert got.tobytes() == want.tobytes()
+            assert columns.bit_generator.state == ref.bit_generator.state
+            if rate == 0.0 and spec is None:
+                assert not got.any()
+
+
+@st.composite
+def event_windows(draw):
+    """Time-ordered windows of 0-6 events over few values, so repeats are common."""
+    n = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)))
+    digests = [bytes([i]) * 32 for i in range(3)]
+    small = st.integers(0, 3)
+    return [
+        EventRecord(t, draw(small), draw(small), draw(st.sampled_from([0, 80, 65535])),
+                    draw(st.sampled_from(digests)), draw(st.integers(0, 1500)),
+                    draw(st.sampled_from(list(Flags))) | draw(st.sampled_from(list(Flags))),
+                    draw(small))
+        for t in times
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_windows(), st.integers(1, 40))
+def test_extract_features_columns_equal_list_formula(window, window_ticks):
+    want = reference_features(window, window_ticks).tobytes()
+    assert extract_features(WindowColumns.from_events(window), window_ticks).tobytes() == want
+    assert extract_features(window, window_ticks).tobytes() == want
+
+
 # --- runs -----------------------------------------------------------------
 
 def test_run_rejects_invalid_config():
@@ -372,6 +513,27 @@ def test_run_deterministic():
     assert a.to_json() == b.to_json()
     c = run(mini_scenario(seed=12))
     assert a.to_json() != c.to_json()
+
+
+# Fingerprints of mini_scenario() at seeds 1-3: (report SHA-256, chain head).
+# Like the seed-42 standard pins, they move only with the random stream, the
+# report layout or the ledger encoding, and such a change must say why.
+MINI_FINGERPRINTS = {
+    1: ("615c753a92cd3cd8a7353b3dcf63304caffb6af5665f9d7bd836eb14d79a03f3",
+        "932f36f930f6ce72077cbb3b48d01ae00e88f4bdead9b0649b0ce4cff4698f4e"),
+    2: ("4d91fce9480fb751e1e851cdc0fe83215a8192a86d8850086f00243124492ce4",
+        "cfdc20925d6e4cb8103558bd00950b2959ea2284691d5df9059dde4020859a62"),
+    3: ("27697d53351d6294b147ecd6c357e799c19da4f88e41d0b0f74f2f8ecc3e6672",
+        "c0dcdfe63c58c37fd4a662ab259b8ece7008f3aa86e724afefbbd0515bc9bcc4"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MINI_FINGERPRINTS))
+def test_mini_fingerprints_pinned(seed):
+    sim = Simulation(mini_scenario(seed=seed))
+    report = sim.run()
+    report_sha = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert (report_sha, sim.ledger.blocks[-1].hash.hex()) == MINI_FINGERPRINTS[seed]
 
 
 def test_ledger_growth(mini_run):
@@ -393,10 +555,27 @@ def test_mini_dos_detected(mini_run):
     assert report.false_alarm_rate <= 0.05
 
 
-def test_dissemination_within_block_interval(mini_run):
-    _sim, report = mini_run
-    if report.dissemination_max is not None:
-        assert report.dissemination_max <= 10
+@pytest.fixture(scope="module")
+def straddle_run():
+    # 7-tick windows close between the 10-tick blocks, so an anomaly alarm
+    # waits for the next block, and some blocks seal alarms from two closes
+    cfg = mini_scenario()
+    cfg.window_ticks = 7
+    sim = Simulation(cfg)
+    return sim, sim.run()
+
+
+def test_dissemination_within_block_interval(mini_run, straddle_run):
+    for _sim, report in (mini_run, straddle_run):
+        if report.dissemination_max is not None:
+            assert report.dissemination_max <= 10
+    sim, report = straddle_run
+    delays = [block.sim_time - tx.payload.sim_time
+              for block in sim.ledger.blocks[1:] for tx in block.txs
+              if tx.kind == TxKind.ALARM]
+    assert max(delays) > 0  # some alarm was sealed after the tick it was raised
+    assert report.dissemination_max == max(delays)
+    assert report.dissemination_mean == float(np.mean(delays))
 
 
 def test_dissemination_counts_every_alarm_from_its_raise_tick():
