@@ -14,9 +14,9 @@ import os
 import sys
 
 from .bloom import MAX_K, analytic_fpr, optimal_k
-from .errors import CidsError, ConfigInvalid, MalformedBytes
+from .errors import CidsError, MalformedBytes
 from .ledger import Ledger, export_jsonl, first_invalid_height, import_jsonl
-from .simnet.config import config_from_dict
+from .simnet.config import config_from_dict, read_config
 from .simnet.engine import Simulation
 from .trust import TrustRecord, fold_trust
 
@@ -31,16 +31,7 @@ def _fail_usage(message: str) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        return _fail_usage(f"cannot read config: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return _fail_usage(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        return _fail_usage("config must be a JSON object")
-
+    raw = read_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw and os.environ.get("CIDS_SEED"):
@@ -49,11 +40,7 @@ def cmd_run(args) -> int:
         except ValueError:
             return _fail_usage("CIDS_SEED must be an integer")
 
-    try:
-        config = config_from_dict(raw)
-    except ConfigInvalid as exc:
-        return _fail_usage(str(exc))
-
+    config = config_from_dict(raw)
     sim = Simulation(config)
     report = sim.run(trace=args.trace is not None)
     payload = report.to_json()

@@ -9,13 +9,11 @@ contributed model is self-contained and attributable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntFlag
 
 import numpy as np
 
-from .bloom import BloomFilter
 from .encoding import DIGEST_LEN, Reader, encode_digest, encode_f64, encode_u64, sha256
 from .errors import BadHyperparameter, DegenerateDataset, MalformedBytes
 
@@ -64,13 +62,13 @@ class EventRecord:
             raise ValueError("payload_len must be >= 0")
 
 
-def signature_key(event: EventRecord) -> bytes:
+def signature_key_from(dst_port: int, payload_digest: bytes, flags: int) -> bytes:
     """41-byte canonical key: port (8) + payload digest (32) + flags (1)."""
-    return encode_u64(event.dst_port) + encode_digest(event.payload_digest) + bytes([event.flags])
+    return encode_u64(dst_port) + encode_digest(payload_digest) + bytes([flags])
 
 
-def sig_match(signature_filter: BloomFilter, event: EventRecord) -> bool:
-    return signature_filter.query(signature_key(event))
+def signature_key(event: EventRecord) -> bytes:
+    return signature_key_from(event.dst_port, event.payload_digest, event.flags)
 
 
 @dataclass(frozen=True)
@@ -160,33 +158,6 @@ def dataset_serialize(data: LabeledDataset) -> bytes:
             out += encode_f64(float(v))
         out += encode_f64(float(label))
     return out
-
-
-def dataset_to_jsonl(data: LabeledDataset) -> str:
-    lines = [
-        json.dumps({"features": [float(v) for v in row], "label": int(label)})
-        for row, label in zip(data.X, data.y)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_jsonl(text: str) -> LabeledDataset:
-    rows, labels = [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            features = [float(v) for v in obj["features"]]
-            if len(features) != N_FEATURES:
-                raise ValueError(f"expected {N_FEATURES} features")
-            rows.append(features)
-            labels.append(int(obj["label"]))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise MalformedBytes(f"bad dataset row: {exc}") from None
-    if not rows:
-        raise MalformedBytes("empty dataset")
-    return LabeledDataset(np.array(rows), np.array(labels))
 
 
 @dataclass

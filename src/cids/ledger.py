@@ -114,20 +114,6 @@ class TrustUpdate(_Payload):
 Payload = ModelContribution | SignatureContribution | Alarm | TrustUpdate
 
 
-class _EnumNames(dict):
-    """JSON name -> member of an IntEnum. The lowercase names that export
-    writes are plain keys; other casings resolve through the enum."""
-
-    def __init__(self, enum_cls: type[IntEnum]):
-        super().__init__((m.name.lower(), m) for m in enum_cls)
-        self.enum_cls = enum_cls
-
-    def __missing__(self, name):
-        if not isinstance(name, str):
-            raise TypeError(f"{self.enum_cls.__name__} must be named by a string, got {name!r}")
-        return self.enum_cls[name.upper()]
-
-
 class _Spec(NamedTuple):
     """Everything the codecs need about one payload, derived from its class."""
 
@@ -144,13 +130,36 @@ _WIRE = {bytes: f"{DIGEST_LEN}s", int: "Q", float: "d"}  # an IntEnum is "B"
 _CHECKS = {bytes: _check_digest, int: _check_count, float: _check_fraction}
 
 
+def _digest_from_json(value) -> bytes:
+    """A digest exactly as export writes it: lowercase hex, no spaces."""
+    digest = bytes.fromhex(value)
+    if digest.hex() != value:
+        raise ValueError(f"digest {value!r} is not lowercase hex")
+    return digest
+
+
+def _exact(t: type) -> Callable:
+    """The JSON value itself if its type is exactly t (so an int is no bool or float)."""
+    def parse(value):
+        if type(value) is not t:
+            raise TypeError(f"expected a JSON {t.__name__}, got {value!r}")
+        return value
+    return parse
+
+
+_INT_FROM_JSON = _exact(int)
+
+
 def _json_codec(t: type) -> tuple[Callable | None, Callable]:
-    """(to JSON, from JSON) for a field type; None writes the value as is."""
+    """(to JSON, from JSON) for a field type; None writes the value as is.
+
+    Import takes only what export writes, so one chain has one JSONL form.
+    """
     if t is bytes:
-        return bytes.hex, bytes.fromhex
+        return bytes.hex, _digest_from_json
     if t in (int, float):
-        return None, t
-    return {m: m.name.lower() for m in t}.__getitem__, _EnumNames(t).__getitem__
+        return None, _exact(t)
+    return {m: m.name.lower() for m in t}.__getitem__, {m.name.lower(): m for m in t}.__getitem__
 
 
 def _spec(cls: type) -> _Spec:
@@ -363,7 +372,7 @@ def _tx_to_json(tx: Transaction) -> dict:
 def _tx_from_json(obj: dict) -> Transaction:
     try:
         kind = _KIND_FROM_JSON(obj["kind"])
-        sender = int(obj["sender"])
+        sender = _INT_FROM_JSON(obj["sender"])
         spec = _SCHEMA[kind]
         payload = spec.cls(*[parse(obj[name]) for name, parse in spec.from_json])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
@@ -399,12 +408,12 @@ def import_jsonl(text: str, authorities: list[int] | None = None) -> Ledger:
         try:
             obj = json.loads(line)
             block = Block(
-                int(obj["index"]),
-                bytes.fromhex(obj["prev_hash"]),
-                int(obj["proposer"]),
-                int(obj["sim_time"]),
+                _INT_FROM_JSON(obj["index"]),
+                _digest_from_json(obj["prev_hash"]),
+                _INT_FROM_JSON(obj["proposer"]),
+                _INT_FROM_JSON(obj["sim_time"]),
                 tuple(_tx_from_json(t) for t in obj["txs"]),
-                bytes.fromhex(obj["hash"]),
+                _digest_from_json(obj["hash"]),
             )
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise MalformedBytes(f"line {lineno}: {exc}") from None

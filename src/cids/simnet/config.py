@@ -163,7 +163,8 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_config(path: str) -> dict:
+    """A config file's JSON object, before any field is read."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -171,7 +172,13 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(obj)
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("config must be a JSON object")
+    return obj
+
+
+def load_config(path: str) -> ScenarioConfig:
+    return config_from_dict(read_config(path))
 
 
 def standard_scenario(seed: int = 42) -> ScenarioConfig:

@@ -30,6 +30,7 @@ from ..detection import (
     model_deserialize,
     model_serialize,
     signature_key,
+    signature_key_from,
 )
 from ..errors import EmptyHoldout, EmptyReference, MalformedBytes, NotFound
 from ..ledger import (
@@ -56,14 +57,11 @@ from .config import ATTACK_CLASS_NAMES, AttackSpec, ScenarioConfig
 from .generators import (
     BENIGN_FLAG_SYN,
     DOS_COLLATERAL,
-    DOS_PAYLOAD_LEN,
-    DOS_PORT,
-    RECON_PORT_BASE,
-    SPOOF_PAYLOAD_LEN,
     AttackPools,
     BenignPool,
     draw_dos,
     draw_recon,
+    draw_replay,
     draw_spoof,
     gen_benign,
     gen_dos,
@@ -75,8 +73,26 @@ from .metrics import ClassMetrics, MetricsReport, baseline_bytes
 
 ATTACK_WINDOW_FRACTION = 0.25  # ground truth: window is "attack" at >= 25% attack events
 
+_SYN = int(Flags.SYN)
+
 # rng stream labels
 _BENIGN, _ATTACKS, _BOOTSTRAP, _VALIDATION, _POOLS, _HISTORICAL = range(1, 7)
+
+
+def _distinct(column: np.ndarray) -> list[int]:
+    """The distinct values of a column of small non-negative ints."""
+    return np.flatnonzero(np.bincount(column)).tolist()
+
+
+def _window_label(attack_counts: dict[str, int], total: int) -> int | None:
+    """Ground truth of one node's window from its event counts: -1 benign,
+    1 attack, None for a mixed window below ATTACK_WINDOW_FRACTION."""
+    attack_total = sum(attack_counts.values())
+    if attack_total == 0:
+        return -1
+    if total and attack_total / total >= ATTACK_WINDOW_FRACTION:
+        return 1
+    return None
 
 
 class Simulation:
@@ -138,7 +154,9 @@ class Simulation:
 
         The draws are the generators' own, in their order, so the features and
         the generator state equal those of the time-ordered window of
-        EventRecords that `one_event` and `gen_*` would emit.
+        EventRecords that `one_event` and `gen_*` would emit. An attack is
+        drawn as one `AttackBatch`, for a one-node network (DoS, recon) or the
+        configured one (spoof, replay), and only node 0's rows are tallied.
         """
         cfg = self.config
         wt = cfg.window_ticks
@@ -159,35 +177,21 @@ class Simulation:
             synth = AttackSpec(spec.attack_class, start=1, length=wt, target=0,
                                intensity=spec.intensity)
             if spec.attack_class == "dos":
-                (per_tick,), rows = draw_dos(synth, pools, pool.profile, 1, rng)
-                payload_total += DOS_PAYLOAD_LEN * len(rows)
-                syn += len(rows)
-                ports.add(DOS_PORT)
-                digests.update(pools.dos_payloads[i] for i in set(rows[:, 1].tolist()))
+                batch = draw_dos(synth, pools, pool.profile, 1, rng)
             elif spec.attack_class == "spoof":
-                block = draw_spoof(synth, pools, pool.profile, cfg.n_nodes, rng)
-                per_tick = block.shape[2]
-                rows = block[:, 0].reshape(-1, 3)  # node 0's events
-                payload_total += SPOOF_PAYLOAD_LEN * len(rows)
-                conflicts += len(rows)  # a claimed src + 1 + offset is never src
-                ports.add(0)  # ARP replies carry no port
-                digests.update(pools.spoof_payloads[i] for i in set(rows[:, 2].tolist()))
+                batch = draw_spoof(synth, pools, pool.profile, cfg.n_nodes, rng)
             elif spec.attack_class == "recon":
-                per_tick, _src = draw_recon(synth, pool.profile, 1, rng)
-                syn += per_tick * wt
-                ports.update(range(RECON_PORT_BASE, RECON_PORT_BASE + per_tick * wt))
-                digests.add(pools.recon_probe)
+                batch = draw_recon(synth, pools, pool.profile, 1, rng)
             else:
-                per_tick = 0
                 captured = [pool.one_event(0, 0, cfg.n_nodes, rng) for _ in range(50)]
-                for tick, _node, e in gen_replay(synth, pool.profile, captured, rng):
-                    counts[tick - 1] += 1
-                    payload_total += e.payload_len
-                    ports.add(e.dst_port)
-                    digests.add(e.payload_digest)
-                    syn += int.__and__(e.flags, Flags.SYN) != 0
-                    conflicts += e.claimed_src_identity != e.src
-            counts = [n + per_tick for n in counts]
+                batch = draw_replay(synth, pool.profile, captured, rng)
+            batch = batch.at(0)
+            counts = np.add(counts, np.bincount(batch.ticks - 1, minlength=wt))
+            payload_total += int(batch.length.sum())
+            syn += int(np.count_nonzero(batch.flags & _SYN))
+            conflicts += int(np.count_nonzero(batch.claimed != batch.src))
+            ports.update(_distinct(batch.port))
+            digests.update(batch.digests[i] for i in _distinct(batch.payload))
         # every synthesised event is addressed to node 0
         window = WindowColumns(np.repeat(np.arange(1, wt + 1), counts), payload_total,
                                syn, conflicts, ports, digests, {0})
@@ -248,17 +252,8 @@ class Simulation:
         cycle = [AttackClass.DOS, AttackClass.SPOOF, AttackClass.RECON]
         feed = {}
         for i in range(cfg.bootstrap.historical_signatures):
-            event = EventRecord(
-                sim_time=0,
-                src=0,
-                dst=0,
-                dst_port=int(rng.integers(20000, 60000)),
-                payload_digest=rng.bytes(32),
-                payload_len=0,
-                flags=Flags.SYN,
-                claimed_src_identity=0,
-            )
-            feed[signature_key(event)] = cycle[i % 3]
+            port = int(rng.integers(20000, 60000))
+            feed[signature_key_from(port, rng.bytes(32), Flags.SYN)] = cycle[i % 3]
         return feed
 
     # --- adversary -----------------------------------------------------------
@@ -417,12 +412,9 @@ class Simulation:
                     record_alarms(node.id, window, alarms, t)
                     tick_alarms += len(alarms)
                     key = (node.id, window)
-                    attack_total = sum(attack_counts[key].values())
-                    total = total_counts[key]
-                    if attack_total == 0:
-                        learn_pending[node.id].append((features, -1))
-                    elif total and attack_total / total >= ATTACK_WINDOW_FRACTION:
-                        learn_pending[node.id].append((features, 1))
+                    label = _window_label(attack_counts[key], total_counts[key])
+                    if label is not None:
+                        learn_pending[node.id].append((features, label))
                 if windows_closed % cfg.learn_interval_windows == 0:
                     for node in self.nodes:
                         rows = learn_pending[node.id]
@@ -532,14 +524,13 @@ class Simulation:
         for node in self.nodes:
             for w in range(1, n_windows + 1):
                 key = (node.id, w)
-                attack_total = sum(attack_counts[key].values())
-                total = total_counts[key]
-                if attack_total == 0:
+                truth = _window_label(attack_counts[key], total_counts[key])
+                if truth == -1:
                     report.benign_windows += 1
                     if alarm_counts[key] > 0:
                         report.false_alarm_windows += 1
                     continue
-                if not total or attack_total / total < ATTACK_WINDOW_FRACTION:
+                if truth is None:
                     continue  # mixed window below the labeling threshold
                 counts = attack_counts[key]
                 label = max(sorted(counts), key=lambda c: counts[c])

@@ -2,9 +2,12 @@
 
 Every generator yields (tick, observer, EventRecord) triples for its whole
 span, so a run can be fully precomputed and is a pure function of the seed.
-The `draw_*` steps (and `BenignPool.draw_event`) make a generator's random
-draws on their own, so a caller that needs only counts and tallies, such as
-the bootstrap, consumes the stream exactly as the generator would.
+Each attack class is drawn once, by its `draw_*` function, into an
+`AttackBatch`: one row per event, in emission order, as columns. The batch
+is the only place an attack's events are defined: `emissions()` turns it into
+EventRecords for the main traffic, and the bootstrap tallies its columns
+straight into window features (as it does `BenignPool.draw_event`'s draws),
+consuming the random stream exactly as the generator would.
 Attack visibility models desk-scale IoT assumptions: a flood splashes
 collateral traffic on every gateway, ARP spoofing is broadcast, a port scan
 sweeps all subnets on the same ports, a replay targets a single session.
@@ -14,11 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from ..detection import EventRecord, Flags, signature_key
+from ..detection import EventRecord, Flags, signature_key_from
 from ..errors import EmptyHistory
 from .config import AttackSpec, BenignProfile
 
@@ -53,6 +56,7 @@ def _choice_cdf(weights: tuple[float, ...]) -> list[float]:
 _FLAG_CDF = _choice_cdf(BENIGN_FLAG_WEIGHTS)
 # per flag-set index: 1 if it carries SYN (a plain-int table, no IntFlag arithmetic per event)
 BENIGN_FLAG_SYN = tuple(int(Flags.SYN in flags) for flags in BENIGN_FLAG_CHOICES)
+_FLAGS = tuple(Flags(bits) for bits in range(8))  # plain-int bits -> Flags member
 
 
 @dataclass
@@ -80,16 +84,12 @@ class BenignPool:
         self.payloads = [rng.bytes(32) for _ in range(profile.payload_pool)]
 
     def whitelist_keys(self) -> set[bytes]:
-        keys = set()
-        for digest in self.payloads:
-            for port in BENIGN_PORTS:
-                for flags in BENIGN_FLAG_CHOICES:
-                    keys.add(
-                        signature_key(
-                            EventRecord(0, 0, 0, port, digest, 0, flags, 0)
-                        )
-                    )
-        return keys
+        return {
+            signature_key_from(port, digest, flags)
+            for digest in self.payloads
+            for port in BENIGN_PORTS
+            for flags in BENIGN_FLAG_CHOICES
+        }
 
     def draw_event(self, n_nodes: int,
                    rng: np.random.Generator) -> tuple[int, int, int, bytes, int]:
@@ -121,128 +121,101 @@ def gen_benign(pool: BenignPool, n_nodes: int, duration: int,
     return out
 
 
-def draw_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-             n_nodes: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
-    """A flood's events per tick at each node, and its (src, payload index) rows.
+class AttackBatch(NamedTuple):
+    """An attack's events as columns, one row per event, in emission order:
+    by tick, then by observer. `payload` indexes the digest table `digests`."""
 
-    Rows run tick by tick, node by node; one bulk draw yields the pairs a
-    per-event loop would draw, and leaves the generator in the same state.
+    ticks: np.ndarray
+    dst: np.ndarray  # the observing node
+    src: np.ndarray
+    port: np.ndarray
+    payload: np.ndarray
+    length: np.ndarray
+    flags: np.ndarray  # Flags bits as plain ints
+    claimed: np.ndarray  # claimed source identity
+    digests: list[bytes]
+
+    def at(self, node: int) -> AttackBatch:
+        """The rows that `node` observes."""
+        keep = self.dst == node
+        return AttackBatch(*(column[keep] for column in self[:-1]), self.digests)
+
+    def emissions(self) -> list[Emission]:
+        """The batch as EventRecords, built one tick's rows at a time, so
+        the rows of a tick share one tick object and few values are alive."""
+        digests = self.digests
+        ticks, starts = np.unique(self.ticks, return_index=True)
+        bounds = [*starts.tolist(), len(self.ticks)]
+        out = []
+        for tick, lo, hi in zip(ticks.tolist(), bounds, bounds[1:]):
+            out.extend(
+                (tick, dst, EventRecord(tick, src, dst, port, digests[payload], length,
+                                        _FLAGS[flags], claimed))
+                for dst, src, port, payload, length, flags, claimed
+                in zip(*(column[lo:hi].tolist() for column in self[1:-1]))
+            )
+        return out
+
+
+def _batch(spec: AttackSpec, observers: np.ndarray, src, port, payload, length, flags,
+           claimed, digests: list[bytes]) -> AttackBatch:
+    """A batch whose every tick emits one row per entry of `observers`; each
+    other column is an array over all rows or one value for every row, held
+    as a read-only view so a shared value costs no memory per row."""
+    per_tick = len(observers)
+    return AttackBatch(
+        np.repeat(np.arange(spec.start, spec.start + spec.length), per_tick),
+        np.tile(observers, spec.length),
+        *(np.broadcast_to(column, per_tick * spec.length)
+          for column in (src, port, payload, length, flags, claimed)),
+        digests,
+    )
+
+
+def draw_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+             n_nodes: int, rng: np.random.Generator) -> AttackBatch:
+    """SYN flood: full intensity at the target, collateral everywhere else.
+
+    One bulk draw of every event's (src, payload index) pair yields the pairs
+    a per-event loop would draw, and leaves the generator in the same state.
     """
     full = _count(spec.intensity, profile.rate)
     collateral = _count(DOS_COLLATERAL * spec.intensity, profile.rate)
     counts = [full if node == spec.target else collateral for node in range(n_nodes)]
     highs = np.tile([n_nodes, len(pools.dos_payloads)], sum(counts) * spec.length)
-    return counts, rng.integers(0, highs).reshape(-1, 2)
-
-
-def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-            n_nodes: int, rng: np.random.Generator) -> list[Emission]:
-    """SYN flood: full intensity at the target, collateral everywhere else."""
-    counts, rows = draw_dos(spec, pools, profile, n_nodes, rng)
-    draws = iter(rows.tolist())
-    out = []
-    for tick in range(spec.start, spec.start + spec.length):
-        for node, count in enumerate(counts):
-            for src, payload in islice(draws, count):
-                out.append(
-                    (
-                        tick,
-                        node,
-                        EventRecord(
-                            sim_time=tick,
-                            src=src,
-                            dst=node,
-                            dst_port=DOS_PORT,
-                            payload_digest=pools.dos_payloads[payload],
-                            payload_len=DOS_PAYLOAD_LEN,
-                            flags=Flags.SYN,
-                            claimed_src_identity=src,
-                        ),
-                    )
-                )
-    return out
+    src, payload = rng.integers(0, highs).reshape(-1, 2).T
+    return _batch(spec, np.repeat(np.arange(n_nodes), counts), src, DOS_PORT, payload,
+                  DOS_PAYLOAD_LEN, Flags.SYN, src, pools.dos_payloads)
 
 
 def draw_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-               n_nodes: int, rng: np.random.Generator) -> np.ndarray:
-    """A spoofing run's (tick, node, event, 3) block of (src, offset, payload index).
+               n_nodes: int, rng: np.random.Generator) -> AttackBatch:
+    """ARP-style spoofing, broadcast: claimed identity never matches the source.
 
     The claimed identity is src + 1 + offset: spoofed identities need not be
     real node ids, only mismatched. One bulk draw, as for `draw_dos`.
     """
     count = max(1, _count(spec.intensity, profile.rate))
     highs = np.tile([n_nodes, 16, len(pools.spoof_payloads)], count * n_nodes * spec.length)
-    return rng.integers(0, highs).reshape(spec.length, n_nodes, count, 3)
+    src, offset, payload = rng.integers(0, highs).reshape(-1, 3).T
+    return _batch(spec, np.repeat(np.arange(n_nodes), count), src, 0, payload,
+                  SPOOF_PAYLOAD_LEN, Flags.ARP_REPLY, src + 1 + offset, pools.spoof_payloads)
 
 
-def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-              n_nodes: int, rng: np.random.Generator) -> list[Emission]:
-    """ARP-style spoofing, broadcast: claimed identity never matches the source."""
-    block = draw_spoof(spec, pools, profile, n_nodes, rng)
-    count = block.shape[2]
-    draws = iter(block.reshape(-1, 3).tolist())
-    out = []
-    for tick in range(spec.start, spec.start + spec.length):
-        for node in range(n_nodes):
-            for src, offset, payload in islice(draws, count):
-                out.append(
-                    (
-                        tick,
-                        node,
-                        EventRecord(
-                            sim_time=tick,
-                            src=src,
-                            dst=node,
-                            dst_port=0,
-                            payload_digest=pools.spoof_payloads[payload],
-                            payload_len=SPOOF_PAYLOAD_LEN,
-                            flags=Flags.ARP_REPLY,
-                            claimed_src_identity=src + 1 + offset,
-                        ),
-                    )
-                )
-    return out
+def draw_recon(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+               n_nodes: int, rng: np.random.Generator) -> AttackBatch:
+    """Horizontal port sweep from one drawn source: each tick every node sees
+    the same probes, on strictly ascending ports, one per probe."""
+    per_tick = max(1, _count(spec.intensity, profile.rate))
+    src = int(rng.integers(n_nodes))
+    sweep = np.arange(spec.length * per_tick).reshape(spec.length, 1, per_tick)
+    ports = RECON_PORT_BASE + np.broadcast_to(sweep, (spec.length, n_nodes, per_tick))
+    return _batch(spec, np.repeat(np.arange(n_nodes), per_tick), src, ports.ravel(), 0,
+                  0, Flags.SYN, src, [pools.recon_probe])
 
 
-def draw_recon(spec: AttackSpec, profile: BenignProfile, n_nodes: int,
-               rng: np.random.Generator) -> tuple[int, int]:
-    """A sweep's probes per tick at each node, and its one draw: the scanning source."""
-    return max(1, _count(spec.intensity, profile.rate)), int(rng.integers(n_nodes))
-
-
-def gen_recon(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
-              n_nodes: int, rng: np.random.Generator) -> list[Emission]:
-    """Horizontal port sweep: strictly ascending ports, one per probe."""
-    out = []
-    per_tick, src = draw_recon(spec, profile, n_nodes, rng)
-    index = 0
-    for tick in range(spec.start, spec.start + spec.length):
-        base = index
-        for node in range(n_nodes):
-            for i in range(per_tick):
-                port = RECON_PORT_BASE + base + i
-                out.append(
-                    (
-                        tick,
-                        node,
-                        EventRecord(
-                            sim_time=tick,
-                            src=src,
-                            dst=node,
-                            dst_port=port,
-                            payload_digest=pools.recon_probe,
-                            payload_len=0,
-                            flags=Flags.SYN,
-                            claimed_src_identity=src,
-                        ),
-                    )
-                )
-        index += per_tick
-    return out
-
-
-def gen_replay(spec: AttackSpec, profile: BenignProfile, captured: list[EventRecord],
-               rng: np.random.Generator) -> list[Emission]:
+def draw_replay(spec: AttackSpec, profile: BenignProfile, captured: list[EventRecord],
+                rng: np.random.Generator) -> AttackBatch:
     """Re-emission of previously captured target traffic at high duplication."""
     if not captured:
         raise EmptyHistory("no captured traffic to replay")
@@ -254,26 +227,31 @@ def gen_replay(spec: AttackSpec, profile: BenignProfile, captured: list[EventRec
         if len(distinct) >= REPLAY_POOL:
             break
     templates = list(distinct.values())
-    out = []
     per_tick = max(1, _count(spec.intensity, profile.rate))
-    picks = iter(rng.integers(len(templates), size=per_tick * spec.length).tolist())
-    for tick in range(spec.start, spec.start + spec.length):
-        for i in islice(picks, per_tick):
-            t = templates[i]
-            out.append(
-                (
-                    tick,
-                    spec.target,
-                    EventRecord(
-                        sim_time=tick,
-                        src=t.src,
-                        dst=spec.target,
-                        dst_port=t.dst_port,
-                        payload_digest=t.payload_digest,
-                        payload_len=t.payload_len,
-                        flags=t.flags,
-                        claimed_src_identity=t.src,
-                    ),
-                )
-            )
-    return out
+    picks = rng.integers(len(templates), size=per_tick * spec.length)
+    src, port, length, flags = np.array(
+        [(t.src, t.dst_port, t.payload_len, t.flags) for t in templates]
+    )[picks].T
+    # templates have distinct digests, so a pick indexes the digest table too
+    return _batch(spec, np.full(per_tick, spec.target), src, port, picks, length, flags, src,
+                  [t.payload_digest for t in templates])
+
+
+def gen_dos(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+            n_nodes: int, rng: np.random.Generator) -> list[Emission]:
+    return draw_dos(spec, pools, profile, n_nodes, rng).emissions()
+
+
+def gen_spoof(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+              n_nodes: int, rng: np.random.Generator) -> list[Emission]:
+    return draw_spoof(spec, pools, profile, n_nodes, rng).emissions()
+
+
+def gen_recon(spec: AttackSpec, pools: AttackPools, profile: BenignProfile,
+              n_nodes: int, rng: np.random.Generator) -> list[Emission]:
+    return draw_recon(spec, pools, profile, n_nodes, rng).emissions()
+
+
+def gen_replay(spec: AttackSpec, profile: BenignProfile, captured: list[EventRecord],
+               rng: np.random.Generator) -> list[Emission]:
+    return draw_replay(spec, profile, captured, rng).emissions()

@@ -93,6 +93,16 @@ def test_run_non_utf8_config(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def test_run_config_not_an_object(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1, 2]")
+    code = main(["run", "--config", str(path), "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "config must be a JSON object" in captured.err
+
+
 def test_run_seed_flag_overrides_and_echoes(tmp_path, capsys):
     config = write_config(tmp_path, mini_config_dict(seed=11))
     code = main(["run", "--config", config, "--seed", "99"])

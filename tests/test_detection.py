@@ -10,16 +10,13 @@ from cids.detection import (
     Flags,
     LabeledDataset,
     LinearModel,
-    dataset_from_jsonl,
     dataset_serialize,
-    dataset_to_jsonl,
     evaluate,
     extract_features,
     hinge_subgradient,
     model_deserialize,
     model_serialize,
     primal_objective,
-    sig_match,
     signature_key,
     svm_predict,
     svm_train,
@@ -53,14 +50,14 @@ def test_signature_key_length():
 
 
 def test_sig_match_empty_filter():
-    assert not sig_match(BloomFilter(1024, 3), make_event())
+    assert not BloomFilter(1024, 3).query(signature_key(make_event()))
 
 
 def test_sig_match_inserted_event():
     f = BloomFilter(1024, 3)
     event = make_event(dst_port=9999)
     f.insert(signature_key(event))
-    assert sig_match(f, event)
+    assert f.query(signature_key(event))
 
 
 def test_sig_match_rate_near_analytic_fpr():
@@ -72,7 +69,7 @@ def test_sig_match_rate_near_analytic_fpr():
         make_event(dst_port=rng.randrange(65536), digest=rng.randbytes(32))
         for _ in range(20000)
     ]
-    rate = sum(sig_match(f, e) for e in fresh) / len(fresh)
+    rate = sum(f.query(signature_key(e)) for e in fresh) / len(fresh)
     assert rate == pytest.approx(analytic_fpr(10000, 7, 1000), rel=0.35)
 
 
@@ -341,17 +338,3 @@ def test_training_digest_binds_dataset():
     data = two_clusters()
     model = svm_train(data, lam=0.01, epochs=2, seed=15)
     assert model.training_digest == sha256(dataset_serialize(data))
-
-
-def test_dataset_jsonl_round_trip():
-    data = two_clusters(n_per_class=10)
-    back = dataset_from_jsonl(dataset_to_jsonl(data))
-    assert np.array_equal(back.X, data.X)
-    assert np.array_equal(back.y, data.y)
-
-
-def test_dataset_jsonl_rejects_malformed():
-    with pytest.raises(MalformedBytes):
-        dataset_from_jsonl("")
-    with pytest.raises(MalformedBytes):
-        dataset_from_jsonl('{"features": [1, 2], "label": 1}\n')

@@ -248,6 +248,38 @@ def test_import_rejects_garbage():
         import_jsonl("not json\n")
 
 
+# Edits of an exported block that the old lenient import read back as the
+# original chain: (record, field, edit of the exported value). Each must now
+# be rejected, so a chain has exactly one JSONL form.
+NON_CANONICAL_EDITS = {
+    "block-sim_time-padded-string": ("block", "sim_time", lambda v: f" {v} "),
+    "tx-sender-fraction": ("tx", "sender", lambda v: v + 0.75),
+    "block-proposer-bool": ("block", "proposer", lambda v: bool(v)),
+    "tx-sim_time-float": ("tx", "sim_time", float),
+    "tx-kind-uppercase": ("tx", "kind", str.upper),
+    "tx-attack_class-titlecase": ("tx", "attack_class", str.title),
+    "block-prev_hash-uppercase": ("block", "prev_hash", str.upper),
+    "tx-digest-with-space": ("tx", "evidence_digest", lambda v: v[:8] + " " + v[8:]),
+}
+
+
+@pytest.mark.parametrize("edit", NON_CANONICAL_EDITS.values(), ids=NON_CANONICAL_EDITS.keys())
+def test_import_rejects_non_canonical_json(edit):
+    where, name, change = edit
+    ledger = Ledger(authorities=[0])
+    ledger.seal_block(0, 10, [Transaction.wrap(1, Alarm(AttackClass.DOS, b"\xab" * 32, 5))])
+    lines = export_jsonl(ledger).splitlines()
+    assert import_jsonl("\n".join(lines)).blocks == ledger.blocks
+    block = json.loads(lines[1])
+    record = block["txs"][0] if where == "tx" else block
+    edited = change(record[name])
+    assert edited != record[name] or type(edited) is not type(record[name])
+    record[name] = edited
+    lines[1] = json.dumps(block, sort_keys=True)
+    with pytest.raises(MalformedBytes):
+        import_jsonl("\n".join(lines))
+
+
 def test_transaction_invariants():
     with pytest.raises(ValueError):
         ModelContribution(b"\x01" * 31, ModelKind.SVM, 0.5)

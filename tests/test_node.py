@@ -8,7 +8,6 @@ from cids.detection import (
     Flags,
     LabeledDataset,
     model_serialize,
-    sig_match,
     signature_key,
 )
 from cids.encoding import sha256
@@ -205,9 +204,9 @@ def test_sync_merges_peer_filter():
     tx = Transaction.wrap(1, SignatureContribution(digest, 1, 2048, 5))
     ledger = sealed_ledger_with([tx])
 
-    assert not sig_match(node.merged_filter, event)
+    assert not node.merged_filter.query(signature_key(event))
     assert node.sync(ledger, store, {}) == 0
-    assert sig_match(node.merged_filter, event)
+    assert node.merged_filter.query(signature_key(event))
     assert node.last_synced_height == 2
 
 

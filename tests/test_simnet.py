@@ -297,6 +297,19 @@ def scalar_spoof(spec, pools, profile, n_nodes, rng):
     return out
 
 
+def scalar_recon(spec, pools, profile, n_nodes, rng):
+    out = []
+    per_tick = max(1, _count(spec.intensity, profile.rate))
+    src = int(rng.integers(n_nodes))
+    for k, tick in enumerate(range(spec.start, spec.start + spec.length)):
+        for node in range(n_nodes):
+            for i in range(per_tick):
+                port = RECON_PORT_BASE + k * per_tick + i
+                out.append((tick, node, EventRecord(tick, src, node, port, pools.recon_probe, 0,
+                                                    Flags.SYN, src)))
+    return out
+
+
 def scalar_replay(spec, profile, captured, rng):
     distinct = {}
     for i in rng.permutation(len(captured)):
@@ -343,12 +356,15 @@ def test_one_event_matches_choice_draw(seed, n_nodes, half_used):
     ("dos", 9, 3, 7.0),
     ("spoof", 0, 0, 1.0),
     ("spoof", 9, 2, 2.5),
+    ("recon", 0, 0, 2.7),
+    ("recon", 9, 1, 2.7),
 ])
 def test_bulk_attack_draws_match_scalar_loop(seed, n_nodes, half_used, attack, length, target,
                                              intensity):
     profile, _, pools = profile_and_pools(seed)
     spec = AttackSpec(attack, start=5, length=length, target=target, intensity=intensity)
-    gen, scalar = (gen_dos, scalar_dos) if attack == "dos" else (gen_spoof, scalar_spoof)
+    gen, scalar = {"dos": (gen_dos, scalar_dos), "spoof": (gen_spoof, scalar_spoof),
+                   "recon": (gen_recon, scalar_recon)}[attack]
     bulk, ref = twin_rngs(seed, half_used)
     emissions = gen(spec, pools, profile, n_nodes, bulk)
     assert emissions == scalar(spec, pools, profile, n_nodes, ref)
@@ -358,13 +374,16 @@ def test_bulk_attack_draws_match_scalar_loop(seed, n_nodes, half_used, attack, l
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("half_used", [False, True])
-@pytest.mark.parametrize("length,n_payloads", [(0, 256), (9, 256), (9, 1)])
-def test_bulk_replay_draws_match_scalar_loop(seed, half_used, length, n_payloads):
+@pytest.mark.parametrize("length,n_payloads,target", [(0, 256, 0), (9, 256, 0), (9, 1, 0),
+                                                     (9, 256, 4)],
+                         ids=["0-256", "9-256", "9-1", "9-256-target4"])
+def test_bulk_replay_draws_match_scalar_loop(seed, half_used, length, n_payloads, target):
     # one distinct payload leaves a single template: integers(1) draws nothing
     profile, pool, _ = profile_and_pools(seed)
     pool.payloads = pool.payloads[:n_payloads]
-    captured = [e for _, _, e in gen_benign(pool, 1, 30, np.random.default_rng(seed))]
-    spec = AttackSpec("replay", start=40, length=length, target=0, intensity=2.5)
+    captured = [e for _, node, e in gen_benign(pool, target + 1, 30, np.random.default_rng(seed))
+                if node == target]
+    spec = AttackSpec("replay", start=40, length=length, target=target, intensity=2.5)
     bulk, ref = twin_rngs(seed, half_used)
     emissions = gen_replay(spec, profile, captured, bulk)
     assert emissions == scalar_replay(spec, profile, captured, ref)
@@ -392,19 +411,6 @@ def reference_features(window, window_ticks):
     out[6] = len({e.dst for e in window})
     if n >= 2:
         out[7] = float(np.var(np.diff([e.sim_time for e in window])))
-    return out
-
-
-def scalar_recon(spec, pools, profile, n_nodes, rng):
-    out = []
-    per_tick = max(1, _count(spec.intensity, profile.rate))
-    src = int(rng.integers(n_nodes))
-    for k, tick in enumerate(range(spec.start, spec.start + spec.length)):
-        for node in range(n_nodes):
-            for i in range(per_tick):
-                port = RECON_PORT_BASE + k * per_tick + i
-                out.append((tick, node, EventRecord(tick, src, node, port, pools.recon_probe, 0,
-                                                    Flags.SYN, src)))
     return out
 
 
