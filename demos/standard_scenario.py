@@ -3,16 +3,17 @@
 
 6 gateways (3 authorities), 2000 ticks, one attack of each class, and a
 model-poisoning adversary on node 5. Seed 42. This is the same scenario the
-acceptance suite measures.
+acceptance suite measures, read from the committed scenarios/standard.json.
 """
 
 import json
+from pathlib import Path
 
 from cids.ledger import TxKind
-from cids.simnet import Simulation, standard_scenario
+from cids.simnet import Simulation, load_config
 from cids.trust import fold_trust
 
-cfg = standard_scenario()
+cfg = load_config(str(Path(__file__).parent.parent / "scenarios" / "standard.json"))
 print("attacks:")
 for spec in cfg.attacks:
     print(f"  {spec.attack_class:>6} ticks {spec.start}-{spec.start + spec.length} "

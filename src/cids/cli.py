@@ -18,7 +18,7 @@ from .errors import CidsError, MalformedBytes
 from .ledger import Ledger, export_jsonl, first_invalid_height, import_jsonl
 from .simnet.config import config_from_dict, read_config
 from .simnet.engine import Simulation
-from .trust import TrustRecord, fold_trust
+from .trust import TrustRecord, fold_updates
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -32,15 +32,15 @@ def _fail_usage(message: str) -> int:
 
 def cmd_run(args) -> int:
     raw = read_config(args.config)
+    config = config_from_dict(raw)
     if args.seed is not None:
-        raw["seed"] = args.seed
+        config.seed = args.seed
     elif "seed" not in raw and os.environ.get("CIDS_SEED"):
         try:
-            raw["seed"] = int(os.environ["CIDS_SEED"])
+            config.seed = int(os.environ["CIDS_SEED"])
         except ValueError:
             return _fail_usage("CIDS_SEED must be an integer")
 
-    config = config_from_dict(raw)
     sim = Simulation(config)
     report = sim.run(trace=args.trace is not None)
     payload = report.to_json()
@@ -114,12 +114,10 @@ def cmd_bloom_calc(args) -> int:
 
 def cmd_trust_report(args) -> int:
     ledger = _load_ledger(args.ledger)
-    known: set[int] = set()
-    for block in ledger.blocks[1:]:
-        known.add(block.proposer)
-        for tx in block.txs:
-            known.add(tx.sender)
-    records = {**{node: TrustRecord(node) for node in known}, **fold_trust(ledger)}
+    known = {block.proposer for block in ledger.blocks[1:]}
+    known.update(tx.sender for block in ledger.blocks[1:] for tx in block.txs)
+    records = fold_updates({node: TrustRecord(node) for node in known},
+                           (tx for block in ledger.blocks for tx in block.txs))
     rows = [
         {
             "node": node,

@@ -124,6 +124,7 @@ class _Spec(NamedTuple):
     checks: tuple[tuple[str, Callable], ...]
     to_json: tuple[tuple[str, Callable | None], ...]  # None: the value as is
     from_json: tuple[tuple[str, Callable], ...]
+    json_keys: frozenset[str]  # every key of the kind's JSONL record
 
 
 _WIRE = {bytes: f"{DIGEST_LEN}s", int: "Q", float: "d"}  # an IntEnum is "B"
@@ -175,6 +176,7 @@ def _spec(cls: type) -> _Spec:
         tuple((name, _CHECKS[t]) for name, t in zip(names, types) if t in _CHECKS),
         tuple(zip(names, to_json)),
         tuple(zip(names, from_json)),
+        frozenset(("kind", "sender", *names)),
     )
 
 
@@ -224,6 +226,7 @@ class Block:
 
 
 _BLOCK_HEADER = struct.Struct(f">Q{DIGEST_LEN}sQQQ")  # index, prev_hash, proposer, sim_time, n_txs
+_BLOCK_JSON_KEYS = frozenset(f.name for f in fields(Block))
 
 
 def encode_tx(tx: Transaction) -> bytes:
@@ -374,6 +377,9 @@ def _tx_from_json(obj: dict) -> Transaction:
         kind = _KIND_FROM_JSON(obj["kind"])
         sender = _INT_FROM_JSON(obj["sender"])
         spec = _SCHEMA[kind]
+        # every key export writes is read, so a matching count leaves no unknown key
+        if len(obj) != len(spec.json_keys):
+            raise ValueError(f"keys {sorted(obj)} are not {sorted(spec.json_keys)}")
         payload = spec.cls(*[parse(obj[name]) for name, parse in spec.from_json])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedBytes(f"bad transaction record: {exc}") from None
@@ -407,6 +413,8 @@ def import_jsonl(text: str, authorities: list[int] | None = None) -> Ledger:
             continue
         try:
             obj = json.loads(line)
+            if type(obj) is not dict or len(obj) != len(_BLOCK_JSON_KEYS):
+                raise ValueError(f"a block is an object with keys {sorted(_BLOCK_JSON_KEYS)}")
             block = Block(
                 _INT_FROM_JSON(obj["index"]),
                 _digest_from_json(obj["prev_hash"]),
@@ -415,7 +423,8 @@ def import_jsonl(text: str, authorities: list[int] | None = None) -> Ledger:
                 tuple(_tx_from_json(t) for t in obj["txs"]),
                 _digest_from_json(obj["hash"]),
             )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError,  # too deep
+                MalformedBytes) as exc:  # a bad transaction, located by its line here
             raise MalformedBytes(f"line {lineno}: {exc}") from None
         blocks.append(block)
     if not blocks:

@@ -7,7 +7,6 @@ from .config import (
     Thresholds,
     config_from_dict,
     load_config,
-    standard_scenario,
 )
 from .engine import Simulation, run
 from .generators import (
@@ -42,5 +41,4 @@ __all__ = [
     "gen_spoof",
     "load_config",
     "run",
-    "standard_scenario",
 ]

@@ -1,24 +1,28 @@
-"""Scenario configuration: JSON-backed, validated, with frozen defaults.
+"""Scenario configuration: a JSON object parsed through its dataclass declarations.
 
-The "standard scenario" used by the acceptance suite is 6 nodes (3 of them
-authorities), 2000 ticks, one attack of each class, a model-poisoning
-adversary on node 5, and seed 42.
+The dataclasses below are the schema, and each default is written only there.
+Types are exact: an `int` takes a JSON integer (never a bool or `6.0`) and a
+`float` a finite JSON float (`3.0`, not `3`). An unknown key at any level, a
+missing required key or a wrong type raises `ConfigInvalid` naming the key
+path, such as `attacks[0].start`; `validate` then checks ranges the same way.
+The standard scenario is `scenarios/standard.json`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
+from operator import attrgetter
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from ..errors import ConfigInvalid
 from ..ledger import AttackClass
 
-ATTACK_CLASS_NAMES = {
-    "dos": AttackClass.DOS,
-    "spoof": AttackClass.SPOOF,
-    "recon": AttackClass.RECON,
-    "replay": AttackClass.REPLAY,
-}
+# ANOMALY is what the anomaly engine reports; a scenario injects the others
+ATTACK_CLASS_NAMES = {c.name.lower(): c for c in AttackClass if c is not AttackClass.ANOMALY}
 
 
 @dataclass
@@ -87,111 +91,98 @@ class ScenarioConfig:
     bootstrap: BootstrapSpec = field(default_factory=BootstrapSpec)
 
     def validate(self) -> None:
-        if self.n_nodes < 1:
-            raise ConfigInvalid("n_nodes must be >= 1")
-        if self.duration <= 0:
-            raise ConfigInvalid("duration must be positive")
-        for name in ("block_interval", "contribution_interval", "window_ticks"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be >= 1")
+        """Ranges and cross-field rules; each failure names its key path."""
+        for path, least in _AT_LEAST.items():
+            if attrgetter(path)(self) < least:
+                raise ConfigInvalid(f"{path} must be >= {least}")
+        if self.bloom_k_hashes > 16:
+            raise ConfigInvalid("bloom_k_hashes must be <= 16")
+        if self.svm_lambda <= 0:
+            raise ConfigInvalid("svm_lambda must be positive")
         if not self.authorities:
             raise ConfigInvalid("authorities must be non-empty")
         if len(set(self.authorities)) != len(self.authorities):
             raise ConfigInvalid("duplicate authorities")
         if not all(0 <= a < self.n_nodes for a in self.authorities):
             raise ConfigInvalid("authorities must be node ids")
-        if self.benign.rate < 0:
-            raise ConfigInvalid("benign rate must be >= 0")
-        if self.benign.payload_pool < 1:
-            raise ConfigInvalid("benign payload_pool must be >= 1")
-        for spec in self.attacks:
+        for i, spec in enumerate(self.attacks):
             if spec.attack_class not in ATTACK_CLASS_NAMES:
-                raise ConfigInvalid(f"unknown attack class {spec.attack_class!r}")
+                raise ConfigInvalid(f"attacks[{i}].attack_class: unknown {spec.attack_class!r}")
             if spec.length < 0 or spec.start < 0 or spec.start + spec.length > self.duration:
-                raise ConfigInvalid(f"attack span [{spec.start}, {spec.start + spec.length}) "
-                                    "must fit inside the run")
+                raise ConfigInvalid(f"attacks[{i}]: span [{spec.start}, "
+                                    f"{spec.start + spec.length}) must fit inside the run")
             if not 0 <= spec.target < self.n_nodes:
-                raise ConfigInvalid("attack target must be a node id")
+                raise ConfigInvalid(f"attacks[{i}].target must be a node id")
             if spec.intensity <= 0:
-                raise ConfigInvalid("attack intensity must be positive")
+                raise ConfigInvalid(f"attacks[{i}].intensity must be positive")
         if self.adversary is not None:
             if not 0 <= self.adversary.node < self.n_nodes:
-                raise ConfigInvalid("adversary node must be a node id")
+                raise ConfigInvalid("adversary.node must be a node id")
             if self.adversary.behavior not in ("none", "poison_model", "poison_filter"):
-                raise ConfigInvalid(f"unknown adversary behavior {self.adversary.behavior!r}")
-        if self.bloom_m_bits < 8 or not 1 <= self.bloom_k_hashes <= 16:
-            raise ConfigInvalid("bloom parameters out of range")
-        if self.svm_lambda <= 0 or self.svm_epochs < 1 or self.train_min < 2:
-            raise ConfigInvalid("bad training parameters")
+                raise ConfigInvalid(f"adversary.behavior: unknown {self.adversary.behavior!r}")
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        if self.adversary is None:
-            obj["adversary"] = None
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+
+# the least value of each bounded field, by key path
+_AT_LEAST = {
+    "n_nodes": 1, "duration": 1, "block_interval": 1, "contribution_interval": 1,
+    "window_ticks": 1, "learn_interval_windows": 1, "bloom_m_bits": 8, "bloom_k_hashes": 1,
+    "svm_epochs": 1, "train_min": 2, "benign.rate": 0, "benign.payload_len_std": 0,
+    "benign.payload_pool": 1, **{f"bootstrap.{f.name}": 0 for f in fields(BootstrapSpec)},
+}
+_hints = cache(get_type_hints)  # each config class's field types, resolved once
+_JSON_NAMES = {int: "integer", float: "float such as 3.0", bool: "boolean", str: "string"}
+
+
+def _parse(t, value, path: str):
+    """The value a field of type t takes from a JSON value, or ConfigInvalid naming path."""
+    if t in _JSON_NAMES:
+        if type(value) is not t:
+            raise ConfigInvalid(f"{path} must be a JSON {_JSON_NAMES[t]}, got {value!r}")
+        if t is float and not math.isfinite(value):
+            raise ConfigInvalid(f"{path} must be finite, got {value!r}")
+        return value
+    origin = get_origin(t)
+    if origin is list:
+        if type(value) is not list:
+            raise ConfigInvalid(f"{path} must be a JSON array")
+        (item,) = get_args(t)
+        return [_parse(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is UnionType:  # X | None
+        (inner,) = (a for a in get_args(t) if a is not NoneType)
+        return None if value is None else _parse(inner, value, path)
+    # a nested dataclass
+    if type(value) is not dict:
+        raise ConfigInvalid(f"{path or 'config'} must be a JSON object")
+    types = _hints(t)
+    prefix = f"{path}." if path else ""
+    unknown = value.keys() - types
+    if unknown:
+        raise ConfigInvalid(f"unknown key {prefix}{min(unknown)}")
+    for f in fields(t):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigInvalid(f"missing key {prefix}{f.name}")
+    return t(**{key: _parse(types[key], v, prefix + key) for key, v in value.items()})
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    try:
-        cfg = ScenarioConfig(
-            n_nodes=int(obj.get("n_nodes", 6)),
-            authorities=[int(a) for a in obj.get("authorities", [0, 1, 2])],
-            duration=int(obj.get("duration", 2000)),
-            block_interval=int(obj.get("block_interval", 10)),
-            contribution_interval=int(obj.get("contribution_interval", 200)),
-            window_ticks=int(obj.get("window_ticks", 20)),
-            seed=int(obj.get("seed", 42)),
-            benign=BenignProfile(**obj.get("benign", {})),
-            attacks=[AttackSpec(**a) for a in obj.get("attacks", [])],
-            adversary=AdversarySpec(**obj["adversary"]) if obj.get("adversary") else None,
-            thresholds=Thresholds(**obj.get("thresholds", {})),
-            adopt_peers=bool(obj.get("adopt_peers", True)),
-            bloom_m_bits=int(obj.get("bloom_m_bits", 10000)),
-            bloom_k_hashes=int(obj.get("bloom_k_hashes", 7)),
-            svm_lambda=float(obj.get("svm_lambda", 0.5)),
-            svm_epochs=int(obj.get("svm_epochs", 10)),
-            train_min=int(obj.get("train_min", 80)),
-            learn_interval_windows=int(obj.get("learn_interval_windows", 20)),
-            signature_cap_per_attack=int(obj.get("signature_cap_per_attack", 64)),
-            bootstrap=BootstrapSpec(**obj.get("bootstrap", {})),
-        )
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigInvalid(f"bad scenario config: {exc}") from None
+    cfg = _parse(ScenarioConfig, obj, "")
     cfg.validate()
     return cfg
 
 
-def read_config(path: str) -> dict:
-    """A config file's JSON object, before any field is read."""
+def read_config(path: str):
+    """A config file's JSON value, before any field is read."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    return obj
 
 
 def load_config(path: str) -> ScenarioConfig:
     return config_from_dict(read_config(path))
-
-
-def standard_scenario(seed: int = 42) -> ScenarioConfig:
-    """The frozen scenario every seeded acceptance number refers to."""
-    cfg = ScenarioConfig(
-        seed=seed,
-        attacks=[
-            AttackSpec("dos", start=300, length=100, target=3, intensity=20.0),
-            AttackSpec("spoof", start=700, length=100, target=4, intensity=1.0),
-            AttackSpec("recon", start=1100, length=100, target=1, intensity=2.7),
-            AttackSpec("replay", start=1500, length=100, target=2, intensity=2.5),
-        ],
-        adversary=AdversarySpec(node=5, behavior="poison_model"),
-    )
-    cfg.validate()
-    return cfg

@@ -47,7 +47,7 @@ from ..trust import (
     TrustRecord,
     ValidationVerdict,
     VerdictReason,
-    apply_outcome,
+    fold_updates,
     outcome_from_quorum,
     quorum,
     validate_model,
@@ -506,12 +506,9 @@ class Simulation:
                 rejected.append(tx)
         self.ledger.discard(rejected)
         block = self.ledger.seal_block(proposer, t, included + outcomes)
+        fold_updates(self.trust, block.txs)
         for tx in block.txs:
-            if tx.kind == TxKind.TRUST_UPDATE:
-                subject = tx.payload.subject
-                current = self.trust.get(subject, TrustRecord(subject))
-                self.trust[subject] = apply_outcome(current, tx.payload.outcome)
-            elif tx.kind == TxKind.ALARM:
+            if tx.kind == TxKind.ALARM:
                 # every pending alarm is sealed, in submission order, so the
                 # n-th alarm sealed in the run is the one with sequence number n
                 dissemination.append(t - alarm_raise_tick[len(dissemination)])

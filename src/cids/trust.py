@@ -8,6 +8,7 @@ chain and anyone can audit it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,11 +124,16 @@ def outcome_from_quorum(contributor: int, accepted: bool, kind: TxKind,
     return Transaction.wrap(sender, TrustUpdate(contributor, outcome, reason))
 
 
+def fold_updates(records: dict[int, TrustRecord], txs: Iterable[Transaction]) -> dict:
+    """Apply each TrustUpdate among txs, in order, to records in place, and return them."""
+    for tx in txs:
+        if tx.kind == TxKind.TRUST_UPDATE:
+            update = tx.payload
+            current = records.get(update.subject, TrustRecord(update.subject))
+            records[update.subject] = apply_outcome(current, update.outcome)
+    return records
+
+
 def fold_trust(ledger: Ledger) -> dict[int, TrustRecord]:
     """Replay the chain's TrustUpdate stream into per-node records."""
-    records: dict[int, TrustRecord] = {}
-    for _, tx in ledger.scan(TxKind.TRUST_UPDATE):
-        update = tx.payload
-        current = records.get(update.subject, TrustRecord(update.subject))
-        records[update.subject] = apply_outcome(current, update.outcome)
-    return records
+    return fold_updates({}, (tx for block in ledger.blocks for tx in block.txs))

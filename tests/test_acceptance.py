@@ -31,7 +31,7 @@ from cids.ledger import (
     export_jsonl,
     verify_chain,
 )
-from cids.simnet import Simulation, standard_scenario
+from cids.simnet import Simulation
 from cids.trust import (
     TrustRecord,
     VerdictReason,
@@ -41,12 +41,12 @@ from cids.trust import (
     validate_signature_filter,
 )
 from cids.ledger import Outcome
-from util import build_chain
+from util import build_chain, standard_config
 
 
 @pytest.fixture(scope="module")
 def standard_run():
-    sim = Simulation(standard_scenario())
+    sim = Simulation(standard_config())
     started = time.monotonic()
     report = sim.run()
     elapsed = time.monotonic() - started

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -75,12 +76,49 @@ def test_run_missing_config(tmp_path, capsys):
     assert "error" in captured.err
 
 
-def test_run_invalid_config(tmp_path, capsys):
+def _set(path, value):
+    def edit(obj):
+        for step in path[:-1]:
+            obj = obj[step] if type(step) is int else obj.setdefault(step, {})
+        obj[path[-1]] = value
+    return edit
+
+
+# Each config the loader once coerced, ignored or crashed on, with the key
+# path its error must name.
+INVALID_CONFIGS = {
+    "duration-zero": (_set(["duration"], 0), "duration"),
+    "typo-key": (_set(["windows_ticks"], 7), "windows_ticks"),
+    "seed-bool": (_set(["seed"], True), "seed"),
+    "n_nodes-float": (_set(["n_nodes"], 6.9), "n_nodes"),
+    "duration-string": (_set(["duration"], "400"), "duration"),
+    "adopt_peers-string": (_set(["adopt_peers"], "false"), "adopt_peers"),
+    "authority-float": (_set(["authorities"], [0.5]), "authorities[0]"),
+    "threshold-string": (_set(["thresholds", "model_accuracy"], "x"),
+                         "thresholds.model_accuracy"),
+    "adversary-empty": (_set(["adversary"], {}), "adversary.node"),
+    "benign-rate-string": (_set(["benign", "rate"], "3"), "benign.rate"),
+    "attack-start-string": (_set(["attacks", 0, "start"], "1"), "attacks[0].start"),
+    "attack-intensity-nan": (_set(["attacks", 0, "intensity"], float("nan")),
+                             "attacks[0].intensity"),
+    "payload_len_std-negative": (_set(["benign", "payload_len_std"], -1.0),
+                                 "benign.payload_len_std"),
+    "bootstrap-count-negative": (_set(["bootstrap", "benign_windows"], -5),
+                                 "bootstrap.benign_windows"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
+def test_run_invalid_config(tmp_path, capsys, case):
+    edit, key_path = case
     obj = mini_config_dict()
-    obj["duration"] = 0
+    edit(obj)
     code = main(["run", "--config", write_config(tmp_path, obj)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert captured.out == ""
+    assert re.match(rf"error: (unknown key |missing key )?{re.escape(key_path)}[ :\n]",
+                    captured.err)
 
 
 def test_run_non_utf8_config(tmp_path, capsys):

@@ -30,7 +30,7 @@ from cids.ledger import (
     make_genesis,
     verify_chain,
 )
-from util import build_chain, random_tx
+from util import build_chain, json_values, random_tx
 
 
 def test_genesis_encoding_is_64_bytes():
@@ -246,6 +246,8 @@ def test_import_rejects_garbage():
         import_jsonl("")
     with pytest.raises(MalformedBytes):
         import_jsonl("not json\n")
+    with pytest.raises(MalformedBytes, match="^line 0: maximum recursion depth"):
+        import_jsonl("[" * 100_000 + "\n")
 
 
 # Edits of an exported block that the old lenient import read back as the
@@ -278,6 +280,30 @@ def test_import_rejects_non_canonical_json(edit):
     lines[1] = json.dumps(block, sort_keys=True)
     with pytest.raises(MalformedBytes):
         import_jsonl("\n".join(lines))
+
+
+def _export_with_txs(seed: int):
+    """A build_chain export as parsed lines, and the height of its first block with txs."""
+    text = export_jsonl(build_chain(random.Random(seed), 6))
+    lines = [json.loads(line) for line in text.splitlines()]
+    return lines, next(i for i, block in enumerate(lines) if block["txs"])
+
+
+def test_import_rejects_unknown_block_key():
+    lines, height = _export_with_txs(21)
+    lines[height]["extra"] = [1]
+    text = "\n".join(json.dumps(block, sort_keys=True) for block in lines)
+    with pytest.raises(MalformedBytes, match=f"line {height}: a block is an object with keys"):
+        import_jsonl(text)
+
+
+def test_import_rejects_unknown_transaction_key():
+    lines, height = _export_with_txs(21)
+    lines[height]["txs"][-1]["note"] = "x"
+    text = "\n".join(json.dumps(block, sort_keys=True) for block in lines)
+    with pytest.raises(MalformedBytes,
+                       match=f"^line {height}: bad transaction record: keys .*'note'"):
+        import_jsonl(text)
 
 
 def test_transaction_invariants():
@@ -353,13 +379,6 @@ transactions = st.builds(
 )
 blocks = st.builds(Block, u64s, digests, u64s, u64s,
                    st.lists(transactions, max_size=4).map(tuple), digests)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**65) | st.floats()
-    | st.text(max_size=70),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=6,
-)
 
 
 @settings(max_examples=200, deadline=None)

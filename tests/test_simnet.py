@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cids.simnet import (
     BootstrapSpec,
     ScenarioConfig,
     Simulation,
+    Thresholds,
     baseline_bytes,
     config_from_dict,
     gen_benign,
@@ -27,8 +30,8 @@ from cids.simnet import (
     gen_spoof,
     load_config,
     run,
-    standard_scenario,
 )
+from cids.simnet.config import ATTACK_CLASS_NAMES
 from cids.simnet.generators import (
     BENIGN_FLAG_CHOICES,
     BENIGN_FLAG_WEIGHTS,
@@ -40,6 +43,7 @@ from cids.simnet.generators import (
     REPLAY_POOL,
     SPOOF_PAYLOAD_LEN,
 )
+from util import STANDARD_SCENARIO, json_values, standard_config
 
 
 def mini_scenario(seed=11, adversary="poison_model"):
@@ -108,6 +112,15 @@ def test_non_utf8_config_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000],
+                         ids=["integer-too-long", "nesting-too-deep"])
+def test_undecodable_json_config_rejected(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ConfigInvalid, match="not valid JSON"):
+        load_config(str(path))
+
+
 def test_unknown_attack_class_rejected():
     with pytest.raises(ConfigInvalid):
         config_from_dict(
@@ -117,21 +130,117 @@ def test_unknown_attack_class_rejected():
 
 
 def test_config_round_trips_through_json():
-    import json
-
-    cfg = standard_scenario()
-    back = config_from_dict(json.loads(cfg.to_json()))
-    assert back == cfg
+    cfg = standard_config()
+    assert config_from_dict(json.loads(cfg.to_json())) == cfg
 
 
-def test_committed_standard_scenario_in_sync():
-    # the frozen file all acceptance numbers refer to must match the code
-    import json
-    from pathlib import Path
+def test_missing_keys_take_the_dataclass_defaults():
+    assert config_from_dict({}) == ScenarioConfig()
+    assert config_from_dict({"benign": {"rate": 2.5}}).benign == BenignProfile(rate=2.5)
 
-    path = Path(__file__).parent.parent / "scenarios" / "standard.json"
-    committed = config_from_dict(json.loads(path.read_text()))
-    assert committed == standard_scenario()
+
+def test_float_field_takes_only_a_json_float():
+    # one JSON form per value: `to_json` writes 3.0, so 3 is not read as it
+    with pytest.raises(ConfigInvalid, match=r"^benign\.rate must be a JSON float"):
+        config_from_dict({"benign": {"rate": 3}})
+
+
+def _set_field(obj: dict, path: tuple, value) -> None:
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, name", [
+    (("window_size",), "window_size"),
+    (("benign", "rate_hz"), "benign.rate_hz"),
+    (("attacks", 0, "end"), "attacks[0].end"),
+    (("adversary", "nodes"), "adversary.nodes"),
+    (("thresholds", "fpr"), "thresholds.fpr"),
+    (("bootstrap", "windows"), "bootstrap.windows"),
+])
+def test_unknown_key_rejected_at_every_level(path, name):
+    obj = json.loads(STANDARD_SCENARIO.read_text())
+    _set_field(obj, path, 1)
+    with pytest.raises(ConfigInvalid, match=rf"^unknown key {re.escape(name)}$"):
+        config_from_dict(obj)
+
+
+def _finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    n_nodes = draw(st.integers(1, 64))
+    duration = draw(st.integers(1, 10**6))
+    node = st.integers(0, n_nodes - 1)
+
+    @st.composite
+    def attacks(draw):
+        start = draw(st.integers(0, duration))
+        return AttackSpec(draw(st.sampled_from(sorted(ATTACK_CLASS_NAMES))), start,
+                          draw(st.integers(0, duration - start)), draw(node),
+                          draw(_finite(0.0, exclude_min=True)))
+
+    return ScenarioConfig(
+        n_nodes=n_nodes,
+        authorities=draw(st.lists(node, min_size=1, unique=True)),
+        duration=duration,
+        block_interval=draw(st.integers(1, 10**6)),
+        contribution_interval=draw(st.integers(1, 10**6)),
+        window_ticks=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers()),
+        benign=BenignProfile(draw(_finite(0.0)), draw(_finite()), draw(_finite(0.0)),
+                             draw(st.integers(1, 10**6))),
+        attacks=draw(st.lists(attacks(), max_size=4)),
+        adversary=draw(st.none() | st.builds(
+            AdversarySpec, node, st.sampled_from(["none", "poison_model", "poison_filter"]))),
+        thresholds=draw(st.builds(Thresholds, _finite(), _finite(), _finite())),
+        adopt_peers=draw(st.booleans()),
+        bloom_m_bits=draw(st.integers(8, 10**9)),
+        bloom_k_hashes=draw(st.integers(1, 16)),
+        svm_lambda=draw(_finite(0.0, exclude_min=True)),
+        svm_epochs=draw(st.integers(1, 10**6)),
+        train_min=draw(st.integers(2, 10**6)),
+        learn_interval_windows=draw(st.integers(1, 10**6)),
+        signature_cap_per_attack=draw(st.integers()),
+        bootstrap=draw(st.builds(BootstrapSpec, *[st.integers(0, 10**6)] * 6)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_json_round_trip_property(cfg):
+    cfg.validate()
+    assert config_from_dict(json.loads(cfg.to_json())) == cfg
+
+
+def _field_paths(obj: dict, prefix=()):
+    """The key path of every field in a config object, nested ones included."""
+    for key, value in obj.items():
+        path = prefix + (key,)
+        yield path
+        if isinstance(value, dict):
+            yield from _field_paths(value, path)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from _field_paths(item, path + (i,))
+
+
+STANDARD_FIELD_PATHS = list(_field_paths(json.loads(STANDARD_SCENARIO.read_text())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STANDARD_FIELD_PATHS), json_values)
+def test_hostile_field_loads_or_raises_config_invalid(path, value):
+    obj = json.loads(STANDARD_SCENARIO.read_text())
+    _set_field(obj, path, value)
+    try:
+        config_from_dict(obj).validate()
+    except ConfigInvalid:
+        pass
 
 
 # --- generators --------------------------------------------------------------

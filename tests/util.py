@@ -1,6 +1,9 @@
-"""Shared builders for randomized test corpora."""
+"""Shared builders for randomized test corpora, and the committed standard scenario."""
 
 import random
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from cids.ledger import (
     Alarm,
@@ -14,6 +17,24 @@ from cids.ledger import (
     Transaction,
     TrustUpdate,
 )
+from cids.simnet import ScenarioConfig, load_config
+
+STANDARD_SCENARIO = Path(__file__).parent.parent / "scenarios" / "standard.json"
+
+# any JSON value a hostile file could hold, including NaN, infinities and
+# integers beyond 64 bits
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**65) | st.floats()
+    | st.text(max_size=70),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def standard_config() -> ScenarioConfig:
+    """The standard scenario, read from the committed file as `cids run` reads it."""
+    return load_config(str(STANDARD_SCENARIO))
 
 
 def random_digest(rng: random.Random) -> bytes:
