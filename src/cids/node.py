@@ -69,8 +69,8 @@ class NodeState:
     training_buffer: LabeledDataset | None = None
     last_synced_height: int = 0
     window: list[EventRecord] = field(default_factory=list)
-    raised_alarms: list[Transaction] = field(default_factory=list)
-    known_alarms: list[tuple[int, Alarm]] = field(default_factory=list)
+    raised_alarms: int = 0  # alarms this node raised; the ledger holds them
+    known_alarms: int = 0   # sealed alarms read by sync
 
     def __post_init__(self):
         if self.local_filter is None:
@@ -115,9 +115,8 @@ class NodeState:
             self._window_sig_alarmed.add(key)
             attack_class = self.local_signatures.get(key, AttackClass.ANOMALY)
             evidence = store.put(key)
-            tx = Transaction.wrap(self.id, Alarm(attack_class, evidence, event.sim_time))
-            self.raised_alarms.append(tx)
-            alarms.append(tx)
+            alarms.append(Transaction.wrap(self.id, Alarm(attack_class, evidence, event.sim_time)))
+        self.raised_alarms += len(alarms)
         return alarms
 
     def close_window(
@@ -132,9 +131,9 @@ class NodeState:
             label, _margin = svm_predict(self.model, features)
             if label == 1:
                 evidence = store.put(b"".join(encode_f64(float(v)) for v in features))
-                tx = Transaction.wrap(self.id, Alarm(AttackClass.ANOMALY, evidence, sim_time))
-                self.raised_alarms.append(tx)
-                alarms.append(tx)
+                alarms.append(Transaction.wrap(self.id,
+                                               Alarm(AttackClass.ANOMALY, evidence, sim_time)))
+        self.raised_alarms += len(alarms)
         return features, alarms
 
     # --- learning ---------------------------------------------------------------
@@ -213,9 +212,7 @@ class NodeState:
         if adopt_peers:
             faults += self._consider_model_adoption(ledger, store, trust, since)
 
-        for height, tx in ledger.scan(TxKind.ALARM, since):
-            self.known_alarms.append((height, tx.payload))
-
+        self.known_alarms += len(ledger.scan(TxKind.ALARM, since))
         self.last_synced_height = ledger.height
         return faults
 
@@ -261,6 +258,6 @@ class NodeState:
             "model_source": self.model_source,
             "training_rows": 0 if self.training_buffer is None else len(self.training_buffer),
             "last_synced_height": self.last_synced_height,
-            "raised_alarms": len(self.raised_alarms),
-            "known_alarms": len(self.known_alarms),
+            "raised_alarms": self.raised_alarms,
+            "known_alarms": self.known_alarms,
         }

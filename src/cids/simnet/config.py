@@ -6,6 +6,12 @@ Types are exact: an `int` takes a JSON integer (never a bool or `6.0`) and a
 missing required key or a wrong type raises `ConfigInvalid` naming the key
 path, such as `attacks[0].start`; `validate` then checks ranges the same way.
 The standard scenario is `scenarios/standard.json`.
+
+Each field that sizes an allocation or a random draw has an upper bound, per
+field (several at once can still outgrow a machine): n_nodes 1000, duration
+10**6, bloom_m_bits 2**24, benign.rate 1000.0, benign.payload_len_mean and
+payload_len_std 65535.0, benign.payload_pool 65536, attacks[i].intensity
+1000.0 and each bootstrap count 100000.
 """
 
 from __future__ import annotations
@@ -95,8 +101,9 @@ class ScenarioConfig:
         for path, least in _AT_LEAST.items():
             if attrgetter(path)(self) < least:
                 raise ConfigInvalid(f"{path} must be >= {least}")
-        if self.bloom_k_hashes > 16:
-            raise ConfigInvalid("bloom_k_hashes must be <= 16")
+        for path, most in _AT_MOST.items():
+            if attrgetter(path)(self) > most:
+                raise ConfigInvalid(f"{path} must be <= {most}")
         if self.svm_lambda <= 0:
             raise ConfigInvalid("svm_lambda must be positive")
         if not self.authorities:
@@ -113,8 +120,8 @@ class ScenarioConfig:
                                     f"{spec.start + spec.length}) must fit inside the run")
             if not 0 <= spec.target < self.n_nodes:
                 raise ConfigInvalid(f"attacks[{i}].target must be a node id")
-            if spec.intensity <= 0:
-                raise ConfigInvalid(f"attacks[{i}].intensity must be positive")
+            if not 0 < spec.intensity <= _MAX_INTENSITY:
+                raise ConfigInvalid(f"attacks[{i}].intensity must be in (0, {_MAX_INTENSITY}]")
         if self.adversary is not None:
             if not 0 <= self.adversary.node < self.n_nodes:
                 raise ConfigInvalid("adversary.node must be a node id")
@@ -132,6 +139,15 @@ _AT_LEAST = {
     "svm_epochs": 1, "train_min": 2, "benign.rate": 0, "benign.payload_len_std": 0,
     "benign.payload_pool": 1, **{f"bootstrap.{f.name}": 0 for f in fields(BootstrapSpec)},
 }
+# the greatest value of each field that sizes an allocation or a random draw;
+# an attack's intensity is checked with the attack's other fields
+_AT_MOST = {
+    "n_nodes": 1000, "duration": 10**6, "bloom_m_bits": 2**24, "bloom_k_hashes": 16,
+    "benign.rate": 1000.0, "benign.payload_len_mean": 65535.0,
+    "benign.payload_len_std": 65535.0, "benign.payload_pool": 65536,
+    **{f"bootstrap.{f.name}": 100_000 for f in fields(BootstrapSpec)},
+}
+_MAX_INTENSITY = 1000.0
 _hints = cache(get_type_hints)  # each config class's field types, resolved once
 _JSON_NAMES = {int: "integer", float: "float such as 3.0", bool: "boolean", str: "string"}
 

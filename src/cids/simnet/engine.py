@@ -9,12 +9,19 @@ Nodes bootstrap from seeded pre-run corpora, the way a deployed IDS ships
 with historical labeled traffic and a vendor signature feed: a labeled
 window set (training + validation holdout), a historical attack-key feed,
 and the benign allowlist enumerated from the traffic profile.
+
+Ground truth is tallied once, as the traffic is built, into one table of
+event counts per (observer, window, kind); `_ground_truth` derives each
+window's kind from it for both the learning step and the report. An alarm
+carries the tick it was raised, so the ledger holds its dissemination; the
+run keeps only each alarmed window's first alarm tick.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,6 +66,7 @@ from .generators import (
     DOS_COLLATERAL,
     AttackPools,
     BenignPool,
+    Emission,
     draw_dos,
     draw_recon,
     draw_replay,
@@ -72,6 +80,7 @@ from .generators import (
 from .metrics import ClassMetrics, MetricsReport, baseline_bytes
 
 ATTACK_WINDOW_FRACTION = 0.25  # ground truth: window is "attack" at >= 25% attack events
+_KINDS = ["benign", *sorted(ATTACK_CLASS_NAMES)]  # ground-truth columns; ties go to the first
 
 _SYN = int(Flags.SYN)
 
@@ -84,15 +93,14 @@ def _distinct(column: np.ndarray) -> list[int]:
     return np.flatnonzero(np.bincount(column)).tolist()
 
 
-def _window_label(attack_counts: dict[str, int], total: int) -> int | None:
-    """Ground truth of one node's window from its event counts: -1 benign,
-    1 attack, None for a mixed window below ATTACK_WINDOW_FRACTION."""
-    attack_total = sum(attack_counts.values())
-    if attack_total == 0:
-        return -1
-    if total and attack_total / total >= ATTACK_WINDOW_FRACTION:
-        return 1
-    return None
+def _ground_truth(counts: np.ndarray) -> list[list[int]]:
+    """The kind of each (node, window) from its event counts per `_KINDS`: 0 with
+    no attack event (an empty window too), else the most frequent attack kind
+    if attack events are at least ATTACK_WINDOW_FRACTION of all, else -1 (mixed)."""
+    attack = counts[..., 1:].sum(axis=-1)
+    share = attack / np.maximum(attack + counts[..., 0], 1)
+    kind = np.where(share >= ATTACK_WINDOW_FRACTION, 1 + counts[..., 1:].argmax(axis=-1), -1)
+    return np.where(attack == 0, 0, kind).tolist()
 
 
 class Simulation:
@@ -118,14 +126,27 @@ class Simulation:
     # --- traffic -----------------------------------------------------------
 
     def _build_traffic(self):
+        """Events by (tick, observer), each class's attack emissions in config
+        order, and the event counts by (observer, window, kind); window 0 is tick 0."""
         cfg = self.config
+        wt = cfg.window_ticks
+        n_cells = (cfg.duration + wt - 1) // wt + 1
         pool = BenignPool(cfg.benign, self._rng(_POOLS))
         pools = AttackPools.from_rng(self._rng(_POOLS, 2))
         benign_stream = gen_benign(pool, cfg.n_nodes, cfg.duration, self._rng(_BENIGN))
 
-        events_at: dict[tuple[int, int], list[tuple[EventRecord, str | None]]] = defaultdict(list)
-        for tick, node, event in benign_stream:
-            events_at[(tick, node)].append((event, None))
+        events_at: dict[tuple[int, int], list[EventRecord]] = defaultdict(list)
+        class_emissions: dict[str, list[Emission]] = defaultdict(list)
+        counts = np.zeros((cfg.n_nodes * n_cells, len(_KINDS)), dtype=np.int64)
+
+        def add(emissions: list[Emission], kind: int) -> None:
+            for tick, node, event in emissions:
+                events_at[(tick, node)].append(event)
+            cells = np.fromiter((node * n_cells + (tick + wt - 1) // wt
+                                 for tick, node, _event in emissions), np.int64, len(emissions))
+            counts[:, kind] += np.bincount(cells, minlength=len(counts))
+
+        add(benign_stream, 0)
 
         for idx, spec in enumerate(cfg.attacks):
             rng = self._rng(_ATTACKS, idx)
@@ -141,10 +162,10 @@ class Simulation:
                     if n == spec.target and t < spec.start
                 ]
                 emissions = gen_replay(spec, cfg.benign, captured, rng)
-            for tick, node, event in emissions:
-                events_at[(tick, node)].append((event, spec.attack_class))
+            add(emissions, _KINDS.index(spec.attack_class))
+            class_emissions[spec.attack_class].extend(emissions)
 
-        return pool, pools, events_at
+        return pool, pools, events_at, class_emissions, counts.reshape(cfg.n_nodes, n_cells, -1)
 
     # --- bootstrap -----------------------------------------------------------
 
@@ -339,7 +360,8 @@ class Simulation:
 
     def run(self, trace: bool = False) -> MetricsReport:
         cfg = self.config
-        pool, pools, events_at = self._build_traffic()
+        pool, pools, events_at, class_emissions, counts = self._build_traffic()
+        truth = _ground_truth(counts)
         historical = self._historical_feed()
         whitelist = pool.whitelist_keys()
 
@@ -352,17 +374,9 @@ class Simulation:
             self._bootstrap_node(node, pool, pools, historical, whitelist)
 
         wt = cfg.window_ticks
-        n_windows = cfg.duration // wt
-        attack_counts: dict[tuple[int, int], dict[str, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        total_counts: dict[tuple[int, int], int] = defaultdict(int)
-        alarm_counts: dict[tuple[int, int], int] = defaultdict(int)
-        first_alarm: dict[tuple[int, int], int] = {}
-        learn_pending: dict[int, list[tuple[np.ndarray, int]]] = defaultdict(list)
-        windows_closed = 0
+        first_alarm: dict[tuple[int, int], int] = {}  # by (node, window): its first alarm's tick
+        learn_pending: dict[int, list[tuple[np.ndarray, int]]] = defaultdict(list)  # by node
 
-        alarm_raise_tick: list[int] = []  # indexed by alarm sequence number
         sealed_contribs: set[tuple[int, bytes]] = set()
         report = MetricsReport(seed=cfg.seed)
         report.per_class = {name: ClassMetrics() for name in ATTACK_CLASS_NAMES}
@@ -371,10 +385,8 @@ class Simulation:
 
         def record_alarms(node_id: int, window: int, txs: list[Transaction], tick: int):
             for tx in txs:
-                alarm_raise_tick.append(tick)
                 self.ledger.submit(tx)
             if txs:
-                alarm_counts[(node_id, window)] += len(txs)
                 first_alarm.setdefault((node_id, window), tick)
 
         for t in range(1, cfg.duration + 1):
@@ -386,44 +398,34 @@ class Simulation:
                     continue
                 if spec.attack_class not in ("dos", "spoof", "recon"):
                     continue  # replay re-uses benign payloads; nothing to fingerprint
-                self._extract_attack_keys(spec, events_at, t)
+                self._extract_attack_keys(spec, class_emissions[spec.attack_class], t)
 
             sealed_height = None
             tick_events = 0
             tick_alarms = 0
 
             for node in self.nodes:
-                tagged = events_at.get((t, node.id), [])
-                if tagged:
-                    events = [e for e, _src in tagged]
-                    for _e, source in tagged:
-                        if source is not None:
-                            attack_counts[(node.id, window)][source] += 1
-                    total_counts[(node.id, window)] += len(tagged)
+                events = events_at.get((t, node.id))
+                if events:
                     alarms = node.observe(events, self.store)
                     record_alarms(node.id, window, alarms, t)
-                    tick_events += len(tagged)
+                    tick_events += len(events)
                     tick_alarms += len(alarms)
 
             if t % wt == 0:
-                windows_closed += 1
                 for node in self.nodes:
                     features, alarms = node.close_window(wt, t, self.store)
                     record_alarms(node.id, window, alarms, t)
                     tick_alarms += len(alarms)
-                    key = (node.id, window)
-                    label = _window_label(attack_counts[key], total_counts[key])
-                    if label is not None:
-                        learn_pending[node.id].append((features, label))
-                if windows_closed % cfg.learn_interval_windows == 0:
+                    kind = truth[node.id][window]
+                    if kind >= 0:  # a mixed window is not learnt
+                        learn_pending[node.id].append((features, 1 if kind else -1))
+                if window % cfg.learn_interval_windows == 0:
                     for node in self.nodes:
-                        rows = learn_pending[node.id]
+                        rows = learn_pending.pop(node.id, None)
                         if rows:
-                            node.learn(LabeledDataset(
-                                np.array([r for r, _ in rows]),
-                                np.array([label for _, label in rows]),
-                            ))
-                            learn_pending[node.id] = []
+                            node.learn(LabeledDataset(np.array([r for r, _ in rows]),
+                                                      np.array([y for _, y in rows])))
 
             if t % cfg.contribution_interval == 0:
                 for node in self.nodes:
@@ -441,8 +443,7 @@ class Simulation:
                         self.ledger.submit(tx)
 
             if t % cfg.block_interval == 0:
-                sealed_height = self._seal(t, sealed_contribs, report, dissemination,
-                                           alarm_raise_tick)
+                sealed_height = self._seal(t, sealed_contribs, report, dissemination)
                 for node in self.nodes:
                     report.sync_faults += node.sync(self.ledger, self.store, self.trust,
                                                     cfg.adopt_peers)
@@ -456,29 +457,29 @@ class Simulation:
                      "sealed_height": sealed_height}
                 )
 
-        self._finalize(report, attack_counts, total_counts, alarm_counts, first_alarm,
-                       n_windows, dissemination, adopted)
+        self._finalize(report, truth, first_alarm, dissemination, adopted)
         return report
 
-    def _extract_attack_keys(self, spec: AttackSpec, events_at, end_tick: int) -> None:
-        """Post-mortem forensics: fingerprint a completed attack's events."""
+    def _extract_attack_keys(self, spec: AttackSpec, emissions: list[Emission],
+                             end: int) -> None:
+        """Post-mortem forensics: fingerprint a completed attack's span of its class's
+        `emissions` (kept in config order), each node's in tick order, up to the cap."""
         cfg = self.config
         attack_class = ATTACK_CLASS_NAMES[spec.attack_class]
+        in_span = defaultdict(list)  # by observer
+        for emission in emissions:
+            if spec.start <= emission[0] < end:
+                in_span[emission[1]].append(emission)
         for node in self.nodes:
             keyed: dict[bytes, AttackClass] = {}
-            for tick in range(spec.start, end_tick):
+            for _tick, _node, event in sorted(in_span[node.id], key=itemgetter(0)):
                 if len(keyed) >= cfg.signature_cap_per_attack:
                     break
-                for event, source in events_at.get((tick, node.id), []):
-                    if source != spec.attack_class:
-                        continue
-                    keyed.setdefault(signature_key(event), attack_class)
-                    if len(keyed) >= cfg.signature_cap_per_attack:
-                        break
+                keyed.setdefault(signature_key(event), attack_class)
             node.add_signatures(keyed)
 
     def _seal(self, t: int, sealed_contribs, report: MetricsReport,
-              dissemination: list[int], alarm_raise_tick: list[int]) -> int:
+              dissemination: list[int]) -> int:
         cfg = self.config
         included: list[Transaction] = []
         outcomes: list[Transaction] = []
@@ -509,50 +510,34 @@ class Simulation:
         fold_updates(self.trust, block.txs)
         for tx in block.txs:
             if tx.kind == TxKind.ALARM:
-                # every pending alarm is sealed, in submission order, so the
-                # n-th alarm sealed in the run is the one with sequence number n
-                dissemination.append(t - alarm_raise_tick[len(dissemination)])
+                dissemination.append(t - tx.payload.sim_time)  # raised at its sim_time
         return block.index
 
-    def _finalize(self, report, attack_counts, total_counts, alarm_counts, first_alarm,
-                  n_windows, dissemination, adopted) -> None:
+    def _finalize(self, report, truth, first_alarm, dissemination, adopted) -> None:
         cfg = self.config
-        class_windows: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        for node in self.nodes:
-            for w in range(1, n_windows + 1):
-                key = (node.id, w)
-                truth = _window_label(attack_counts[key], total_counts[key])
-                if truth == -1:
-                    report.benign_windows += 1
-                    if alarm_counts[key] > 0:
-                        report.false_alarm_windows += 1
-                    continue
-                if truth is None:
-                    continue  # mixed window below the labeling threshold
-                counts = attack_counts[key]
-                label = max(sorted(counts), key=lambda c: counts[c])
-                class_windows[label].append(key)
-                metrics = report.per_class[label]
-                metrics.injected_windows += 1
-                if alarm_counts[key] > 0:
-                    metrics.detected_windows += 1
-
         wt = cfg.window_ticks
-        for name, metrics in report.per_class.items():
-            latencies = []
-            for spec in cfg.attacks:
-                if spec.attack_class != name:
-                    continue
-                ticks = [
-                    first_alarm[key]
-                    for key in class_windows[name]
-                    if key in first_alarm
-                    and spec.start <= first_alarm[key] <= spec.start + spec.length + wt
-                ]
-                if ticks:
-                    latencies.append(min(ticks) - spec.start)
-            if latencies:
-                metrics.mean_detection_latency_ticks = float(np.mean(latencies))
+        alarm_ticks: dict[str, list[int]] = defaultdict(list)  # first alarms of attack windows
+        for node in self.nodes:
+            for w in range(1, cfg.duration // wt + 1):
+                kind, alarm = truth[node.id][w], first_alarm.get((node.id, w))
+                if kind == 0:
+                    report.benign_windows += 1
+                    if alarm is not None:
+                        report.false_alarm_windows += 1
+                elif kind > 0:
+                    report.per_class[_KINDS[kind]].injected_windows += 1
+                    if alarm is not None:
+                        report.per_class[_KINDS[kind]].detected_windows += 1
+                        alarm_ticks[_KINDS[kind]].append(alarm)
+
+        latencies: dict[str, list[int]] = defaultdict(list)
+        for spec in cfg.attacks:
+            ticks = [tick for tick in alarm_ticks[spec.attack_class]
+                     if spec.start <= tick <= spec.start + spec.length + wt]
+            if ticks:
+                latencies[spec.attack_class].append(min(ticks) - spec.start)
+        for name, values in latencies.items():
+            report.per_class[name].mean_detection_latency_ticks = float(np.mean(values))
 
         report.ledger_blocks = len(self.ledger.blocks)
         report.ledger_bytes = self.ledger.total_bytes()

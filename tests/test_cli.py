@@ -105,6 +105,15 @@ INVALID_CONFIGS = {
                                  "benign.payload_len_std"),
     "bootstrap-count-negative": (_set(["bootstrap", "benign_windows"], -5),
                                  "bootstrap.benign_windows"),
+    # sizes that once validated and then made the run allocate or draw too much
+    "nodes-and-bits-huge": (lambda obj: obj.update(n_nodes=2**64, bloom_m_bits=2**64),
+                            "n_nodes"),
+    "bloom_m_bits-huge": (_set(["bloom_m_bits"], 2**64), "bloom_m_bits"),
+    "benign-rate-huge": (_set(["benign", "rate"], 1e20), "benign.rate"),
+    "attack-intensity-huge": (_set(["attacks", 0, "intensity"], 1e300),
+                              "attacks[0].intensity"),
+    "payload_len_mean-huge": (_set(["benign", "payload_len_mean"], 1e300),
+                              "benign.payload_len_mean"),
 }
 
 

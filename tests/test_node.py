@@ -224,7 +224,8 @@ def test_sync_records_alarms():
     alarm = Alarm(AttackClass.SPOOF, b"\x02" * 32, 7)
     ledger = sealed_ledger_with([Transaction.wrap(3, alarm)])
     node.sync(ledger, store, {})
-    assert node.known_alarms == [(1, alarm)]
+    assert node.known_alarms == 1
+    assert node.state_summary()["known_alarms"] == 1
 
 
 def trust_map(scores: dict[int, int]) -> dict[int, TrustRecord]:

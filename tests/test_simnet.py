@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cids.detection import EventRecord, Flags, WindowColumns, extract_features
@@ -32,6 +32,7 @@ from cids.simnet import (
     run,
 )
 from cids.simnet.config import ATTACK_CLASS_NAMES
+from cids.simnet.engine import _KINDS, ATTACK_WINDOW_FRACTION, _ground_truth
 from cids.simnet.generators import (
     BENIGN_FLAG_CHOICES,
     BENIGN_FLAG_WEIGHTS,
@@ -172,6 +173,7 @@ def _finite(lo=None, hi=None, **kw):
 
 @st.composite
 def valid_configs(draw):
+    # every field drawn inside the bounds that validate checks
     n_nodes = draw(st.integers(1, 64))
     duration = draw(st.integers(1, 10**6))
     node = st.integers(0, n_nodes - 1)
@@ -181,7 +183,7 @@ def valid_configs(draw):
         start = draw(st.integers(0, duration))
         return AttackSpec(draw(st.sampled_from(sorted(ATTACK_CLASS_NAMES))), start,
                           draw(st.integers(0, duration - start)), draw(node),
-                          draw(_finite(0.0, exclude_min=True)))
+                          draw(_finite(0.0, 1000.0, exclude_min=True)))
 
     return ScenarioConfig(
         n_nodes=n_nodes,
@@ -191,21 +193,21 @@ def valid_configs(draw):
         contribution_interval=draw(st.integers(1, 10**6)),
         window_ticks=draw(st.integers(1, 10**6)),
         seed=draw(st.integers()),
-        benign=BenignProfile(draw(_finite(0.0)), draw(_finite()), draw(_finite(0.0)),
-                             draw(st.integers(1, 10**6))),
+        benign=BenignProfile(draw(_finite(0.0, 1000.0)), draw(_finite(None, 65535.0)),
+                             draw(_finite(0.0, 65535.0)), draw(st.integers(1, 65536))),
         attacks=draw(st.lists(attacks(), max_size=4)),
         adversary=draw(st.none() | st.builds(
             AdversarySpec, node, st.sampled_from(["none", "poison_model", "poison_filter"]))),
         thresholds=draw(st.builds(Thresholds, _finite(), _finite(), _finite())),
         adopt_peers=draw(st.booleans()),
-        bloom_m_bits=draw(st.integers(8, 10**9)),
+        bloom_m_bits=draw(st.integers(8, 2**24)),
         bloom_k_hashes=draw(st.integers(1, 16)),
         svm_lambda=draw(_finite(0.0, exclude_min=True)),
         svm_epochs=draw(st.integers(1, 10**6)),
         train_min=draw(st.integers(2, 10**6)),
         learn_interval_windows=draw(st.integers(1, 10**6)),
         signature_cap_per_attack=draw(st.integers()),
-        bootstrap=draw(st.builds(BootstrapSpec, *[st.integers(0, 10**6)] * 6)),
+        bootstrap=draw(st.builds(BootstrapSpec, *[st.integers(0, 100_000)] * 6)),
     )
 
 
@@ -613,6 +615,30 @@ def test_extract_features_columns_equal_list_formula(window, window_ticks):
     assert extract_features(window, window_ticks).tobytes() == want
 
 
+# --- ground truth -----------------------------------------------------------
+
+def reference_window_kind(counts: dict[str, int]) -> int:
+    """One window's kind by the per-window rule: 0 benign, -1 mixed, else the
+    index in _KINDS of the most frequent class, the alphabetically first on a tie."""
+    attack = {name: n for name, n in counts.items() if name != "benign" and n}
+    if not attack:
+        return 0
+    if sum(attack.values()) / sum(counts.values()) < ATTACK_WINDOW_FRACTION:
+        return -1
+    return _KINDS.index(max(sorted(attack), key=lambda name: attack[name]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=len(_KINDS), max_size=len(_KINDS)),
+                min_size=1, max_size=30))
+# an empty window, attack shares of exactly and just under 1/4, and a tie
+@example([[0, 0, 0, 0, 0], [3, 1, 0, 0, 0], [4, 0, 0, 1, 0], [1, 0, 2, 0, 2]])
+def test_ground_truth_matches_per_window_rule(rows):
+    table = np.array(rows).reshape(1, len(rows), len(_KINDS))
+    expected = [reference_window_kind(dict(zip(_KINDS, row))) for row in rows]
+    assert _ground_truth(table) == [expected]
+
+
 # --- runs -----------------------------------------------------------------
 
 def test_run_rejects_invalid_config():
@@ -649,6 +675,53 @@ def test_mini_fingerprints_pinned(seed):
     report = sim.run()
     report_sha = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert (report_sha, sim.ledger.blocks[-1].hash.hex()) == MINI_FINGERPRINTS[seed]
+
+
+def overlap_scenario():
+    # a second flood inside the first, so each flood's forensics also sees the
+    # other's events, with a recon and a spoof overlapping them, under a cap
+    # that stops forensics part-way through a tick
+    cfg = mini_scenario(adversary=None)
+    cfg.attacks += [AttackSpec("dos", start=125, length=30, target=1, intensity=5.0),
+                    AttackSpec("recon", start=100, length=40, target=2, intensity=2.0),
+                    AttackSpec("spoof", start=105, length=20, target=0, intensity=1.0)]
+    cfg.signature_cap_per_attack = 20
+    return cfg
+
+
+def tie_scenario():
+    # spoof and recon emit the same number of events on every node and tick,
+    # so every attack window's majority class is a tie
+    cfg = mini_scenario(adversary=None)
+    cfg.attacks = [AttackSpec("spoof", start=120, length=40, target=0, intensity=1.0),
+                   AttackSpec("recon", start=120, length=40, target=0, intensity=1.0)]
+    return cfg
+
+
+# (report SHA-256, chain head) of the two edge scenarios above
+EDGE_FINGERPRINTS = {
+    "overlap": (overlap_scenario,
+                "f7d181a73a4a454e6636dbfdc67e85cf79ba3fa8f5be1b92b623e26a51d1a02a",
+                "b60fd96c9a24c3bf87c188c9c90d69214681430c18d6ad800337be3dacf991c2"),
+    "tie": (tie_scenario,
+            "b2954f14695601615e07d6f5d5ef4e3f29e889512bb0ec340965067a8283c9a2",
+            "00450a61e11653abf587b7a346abd1fdf91d94b98b345fc6a13fd8055e0fdaa8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FINGERPRINTS))
+def test_edge_fingerprints_pinned(name):
+    scenario, report_sha, chain_head = EDGE_FINGERPRINTS[name]
+    sim = Simulation(scenario())
+    report = sim.run()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha
+    assert sim.ledger.blocks[-1].hash.hex() == chain_head
+
+
+def test_majority_tie_goes_to_the_alphabetically_first_class():
+    report = run(tie_scenario())
+    assert report.per_class["recon"].injected_windows == 4 * 2
+    assert report.per_class["spoof"].injected_windows == 0
 
 
 def test_ledger_growth(mini_run):
@@ -734,6 +807,15 @@ def test_chain_verifies_after_run(mini_run):
     sim, _report = mini_run
     assert verify_chain(sim.ledger)
     assert sim.store.self_check()
+
+
+def test_alarm_counters_match_the_chain(mini_run):
+    # the last block seals at the last tick, after that tick's alarms
+    sim, _report = mini_run
+    sealed = sim.ledger.scan(TxKind.ALARM)
+    for node in sim.nodes:
+        assert node.raised_alarms == sum(tx.sender == node.id for _h, tx in sealed)
+        assert node.known_alarms == len(sealed)
 
 
 def test_trust_fold_matches_live(mini_run):
