@@ -9,16 +9,19 @@ items is the standard (1 - e^(-kn/m))^k.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import Reader, encode_u64, sha256
+from .encoding import Reader, sha256
 from .errors import MalformedBytes, ShapeMismatch
 
 MAX_K = 16
-HEADER_LEN = 24  # m_bits, k_hashes, n_inserted as u64
+_HEADER = struct.Struct(">QQQ")  # m_bits, k_hashes, n_inserted; the bit array follows
+HEADER_LEN = _HEADER.size
+_LANES = struct.Struct(">QQ")  # h1, h2: the first 16 bytes of the item's digest
 
 
 def positions(m_bits: int, k_hashes: int, item: bytes) -> list[int]:
@@ -27,9 +30,8 @@ def positions(m_bits: int, k_hashes: int, item: bytes) -> list[int]:
         raise ValueError("m_bits must be >= 8")
     if not 1 <= k_hashes <= MAX_K:
         raise ValueError(f"k_hashes must be in [1, {MAX_K}]")
-    digest = sha256(item)
-    h1 = int.from_bytes(digest[0:8], "big")
-    h2 = int.from_bytes(digest[8:16], "big") | 1
+    h1, h2 = _LANES.unpack_from(sha256(item))
+    h2 |= 1
     return [(h1 + i * h2) % m_bits for i in range(k_hashes)]
 
 
@@ -67,6 +69,8 @@ class BloomFilter:
             self.bits = bytearray(nbytes)
         elif len(self.bits) != nbytes:
             raise ValueError("bit array length does not match m_bits")
+        if self.n_inserted < 0:
+            raise ValueError("n_inserted must be >= 0")
 
     def insert(self, item: bytes) -> None:
         for idx in positions(self.m_bits, self.k_hashes, item):
@@ -94,16 +98,8 @@ class BloomFilter:
     def popcount(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
 
-    def copy(self) -> BloomFilter:
-        return BloomFilter(self.m_bits, self.k_hashes, bytearray(self.bits), self.n_inserted)
-
     def serialize(self) -> bytes:
-        return (
-            encode_u64(self.m_bits)
-            + encode_u64(self.k_hashes)
-            + encode_u64(self.n_inserted)
-            + bytes(self.bits)
-        )
+        return _HEADER.pack(self.m_bits, self.k_hashes, self.n_inserted) + self.bits
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):
@@ -151,9 +147,7 @@ class ProbeSet:
 
 def deserialize(data: bytes) -> BloomFilter:
     r = Reader(data)
-    m_bits = r.u64()
-    k_hashes = r.u64()
-    n_inserted = r.u64()
+    m_bits, k_hashes, n_inserted = r.unpack(_HEADER)
     if m_bits < 8 or not 1 <= k_hashes <= MAX_K:
         raise MalformedBytes(f"invalid filter parameters m={m_bits} k={k_hashes}")
     payload = r.take((m_bits + 7) // 8)

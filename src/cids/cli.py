@@ -2,21 +2,19 @@
 
 Exit codes are a stable CI contract: 0 success, 1 verification or assertion
 failure, 2 usage or parse error. Stdout carries only JSON; human-oriented
-notes go to stderr. Seed precedence for `run`: --seed flag, then the config
-file, then the CIDS_SEED environment variable.
+notes go to stderr. `run --seed` overrides the config file's seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bloom import MAX_K, analytic_fpr, optimal_k
 from .errors import CidsError, MalformedBytes
 from .ledger import Ledger, export_jsonl, first_invalid_height, import_jsonl
-from .simnet.config import config_from_dict, read_config
+from .simnet.config import load_config
 from .simnet.engine import Simulation
 from .trust import TrustRecord, fold_updates
 
@@ -31,15 +29,9 @@ def _fail_usage(message: str) -> int:
 
 
 def cmd_run(args) -> int:
-    raw = read_config(args.config)
-    config = config_from_dict(raw)
+    config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    elif "seed" not in raw and os.environ.get("CIDS_SEED"):
-        try:
-            config.seed = int(os.environ["CIDS_SEED"])
-        except ValueError:
-            return _fail_usage("CIDS_SEED must be an integer")
 
     sim = Simulation(config)
     report = sim.run(trace=args.trace is not None)

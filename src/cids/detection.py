@@ -9,12 +9,13 @@ contributed model is self-contained and attributable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntFlag
 
 import numpy as np
 
-from .encoding import DIGEST_LEN, Reader, encode_digest, encode_f64, encode_u64, sha256
+from .encoding import DIGEST_LEN, sha256
 from .errors import BadHyperparameter, DegenerateDataset, MalformedBytes
 
 N_FEATURES = 8
@@ -62,9 +63,17 @@ class EventRecord:
             raise ValueError("payload_len must be >= 0")
 
 
+_SIGNATURE_KEY = struct.Struct(f">Q{DIGEST_LEN}sB")  # port, payload digest, flags
+
+
 def signature_key_from(dst_port: int, payload_digest: bytes, flags: int) -> bytes:
     """41-byte canonical key: port (8) + payload digest (32) + flags (1)."""
-    return encode_u64(dst_port) + encode_digest(payload_digest) + bytes([flags])
+    if len(payload_digest) != DIGEST_LEN:  # `32s` would pad or cut it
+        raise ValueError(f"payload digest must be {DIGEST_LEN} bytes")
+    try:
+        return _SIGNATURE_KEY.pack(dst_port, payload_digest, flags)
+    except struct.error as exc:  # a port outside u64 or flags outside a byte
+        raise ValueError(f"signature key field out of range: {exc}") from None
 
 
 def signature_key(event: EventRecord) -> bytes:
@@ -151,13 +160,12 @@ class LabeledDataset:
         )
 
 
+_COUNT = struct.Struct(">Q")
+
+
 def dataset_serialize(data: LabeledDataset) -> bytes:
-    out = encode_u64(len(data))
-    for row, label in zip(data.X, data.y):
-        for v in row:
-            out += encode_f64(float(v))
-        out += encode_f64(float(label))
-    return out
+    """Row count, then each row's features and its label as binary64."""
+    return _COUNT.pack(len(data)) + np.column_stack([data.X, data.y]).astype(">f8").tobytes()
 
 
 @dataclass
@@ -289,32 +297,20 @@ def evaluate(model: LinearModel, data: LabeledDataset) -> EvalMetrics:
     return EvalMetrics((tp + tn) / len(data), precision, recall, f1, tp, fp, fn, tn)
 
 
-MODEL_BYTES = 25 * 8 + DIGEST_LEN  # 8 weights, bias, 8 means, 8 scales, digest
+_MODEL = struct.Struct(f">25d{DIGEST_LEN}s")  # 8 weights, bias, 8 means, 8 scales, digest
+MODEL_BYTES = _MODEL.size
 
 
 def model_serialize(model: LinearModel) -> bytes:
-    out = b""
-    for v in model.weights:
-        out += encode_f64(float(v))
-    out += encode_f64(model.bias)
-    for v in model.feature_means:
-        out += encode_f64(float(v))
-    for v in model.feature_scales:
-        out += encode_f64(float(v))
-    out += encode_digest(model.training_digest)
-    return out
+    return _MODEL.pack(*model.weights, model.bias, *model.feature_means,
+                       *model.feature_scales, model.training_digest)
 
 
 def model_deserialize(data: bytes) -> LinearModel:
     if len(data) != MODEL_BYTES:
         raise MalformedBytes(f"model blob must be {MODEL_BYTES} bytes, got {len(data)}")
-    r = Reader(data)
-    weights = np.array([r.f64() for _ in range(N_FEATURES)])
-    bias = r.f64()
-    means = np.array([r.f64() for _ in range(N_FEATURES)])
-    scales = np.array([r.f64() for _ in range(N_FEATURES)])
-    digest = r.digest()
+    *values, digest = _MODEL.unpack(data)
     try:
-        return LinearModel(weights, bias, means, scales, digest)
+        return LinearModel(values[:8], values[8], values[9:17], values[17:], digest)
     except ValueError as exc:
         raise MalformedBytes(str(exc)) from None

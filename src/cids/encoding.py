@@ -1,11 +1,16 @@
-"""Canonical byte encoding primitives used everywhere a digest is taken.
+"""Canonical byte encoding: the layout rules every hashed or stored record follows.
 
-Layout rules, applied uniformly across the package:
-  * unsigned integers: 8 bytes, big-endian
-  * reals: IEEE-754 binary64, big-endian
-  * enum values: 1-byte tag in declaration order
-  * digests: raw 32 bytes
-  * lists: 8-byte big-endian element count, then elements in order
+Each fixed-layout record is declared once, as a `struct.Struct` beside the
+type it encodes, big-endian throughout:
+  * unsigned integers: `>Q`, 8 bytes
+  * reals: `>d`, IEEE-754 binary64
+  * enum values and flag sets: `B`, 1 byte holding the member's value
+  * digests: `32s`, the raw 32 bytes
+  * lists: a `>Q` element count, then the elements in order; a list of reals
+    is one `>f8` array
+
+`struct` pads a short digest and raises `struct.error` on an out-of-range
+integer, so the type holding a value checks its range before it is packed.
 """
 
 import hashlib
@@ -19,22 +24,6 @@ ZERO_DIGEST = b"\x00" * DIGEST_LEN
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
-
-
-def encode_u64(value: int) -> bytes:
-    if value < 0:
-        raise ValueError(f"u64 cannot encode negative value {value}")
-    return struct.pack(">Q", value)
-
-
-def encode_f64(value: float) -> bytes:
-    return struct.pack(">d", value)
-
-
-def encode_digest(digest: bytes) -> bytes:
-    if len(digest) != DIGEST_LEN:
-        raise ValueError(f"digest must be {DIGEST_LEN} bytes, got {len(digest)}")
-    return digest
 
 
 class Reader:
@@ -51,24 +40,15 @@ class Reader:
         self.pos += n
         return chunk
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
+    def peek(self) -> int:
+        """The next byte, left unread."""
+        if self.pos >= len(self.data):
+            raise MalformedBytes(f"truncated input: need 1 byte at offset {self.pos}")
+        return self.data[self.pos]
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.take(fmt.size))
 
-    def digest(self) -> bytes:
-        return self.take(DIGEST_LEN)
-
-    def tag(self) -> int:
-        return self.take(1)[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
     def expect_done(self) -> None:
-        if not self.done():
+        if self.pos != len(self.data):
             raise MalformedBytes(f"{len(self.data) - self.pos} trailing bytes")

@@ -243,11 +243,10 @@ def canonical_encode(block: Block) -> bytes:
 
 
 def decode_tx(r: Reader) -> Transaction:
-    tag = r.tag()
+    tag = r.peek()  # the kind's struct starts with the tag
     spec = _SCHEMA.get(tag)
     if spec is None:
         raise MalformedBytes(f"invalid transaction kind tag {tag}")
-    r.pos -= 1  # the tag is also the first item of the kind's struct
     _, sender, *values = r.unpack(spec.wire)
     try:
         payload = spec.cls(*(t(v) for t, v in zip(spec.types, values)))

@@ -27,7 +27,7 @@ from .detection import (
     svm_predict,
     svm_train,
 )
-from .encoding import encode_f64, sha256
+from .encoding import sha256
 from .errors import MalformedBytes, NotFound
 from .ledger import (
     Alarm,
@@ -130,7 +130,7 @@ class NodeState:
         if self.model is not None:
             label, _margin = svm_predict(self.model, features)
             if label == 1:
-                evidence = store.put(b"".join(encode_f64(float(v)) for v in features))
+                evidence = store.put(features.astype(">f8").tobytes())
                 alarms.append(Transaction.wrap(self.id,
                                                Alarm(AttackClass.ANOMALY, evidence, sim_time)))
         self.raised_alarms += len(alarms)

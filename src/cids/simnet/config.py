@@ -9,9 +9,10 @@ The standard scenario is `scenarios/standard.json`.
 
 Each field that sizes an allocation or a random draw has an upper bound, per
 field (several at once can still outgrow a machine): n_nodes 1000, duration
-10**6, bloom_m_bits 2**24, benign.rate 1000.0, benign.payload_len_mean and
-payload_len_std 65535.0, benign.payload_pool 65536, attacks[i].intensity
-1000.0 and each bootstrap count 100000.
+10**6, window_ticks 10000 and at most duration, bloom_m_bits 2**24,
+benign.rate 1000.0, benign.payload_len_mean and payload_len_std 65535.0,
+benign.payload_pool 65536, attacks[i].intensity 1000.0 and each bootstrap
+count 100000.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ class ScenarioConfig:
         for path, most in _AT_MOST.items():
             if attrgetter(path)(self) > most:
                 raise ConfigInvalid(f"{path} must be <= {most}")
+        if self.window_ticks > self.duration:  # no window would ever close
+            raise ConfigInvalid(f"window_ticks must be <= duration ({self.duration})")
         if self.svm_lambda <= 0:
             raise ConfigInvalid("svm_lambda must be positive")
         if not self.authorities:
@@ -142,8 +145,8 @@ _AT_LEAST = {
 # the greatest value of each field that sizes an allocation or a random draw;
 # an attack's intensity is checked with the attack's other fields
 _AT_MOST = {
-    "n_nodes": 1000, "duration": 10**6, "bloom_m_bits": 2**24, "bloom_k_hashes": 16,
-    "benign.rate": 1000.0, "benign.payload_len_mean": 65535.0,
+    "n_nodes": 1000, "duration": 10**6, "window_ticks": 10_000, "bloom_m_bits": 2**24,
+    "bloom_k_hashes": 16, "benign.rate": 1000.0, "benign.payload_len_mean": 65535.0,
     "benign.payload_len_std": 65535.0, "benign.payload_pool": 65536,
     **{f"bootstrap.{f.name}": 100_000 for f in fields(BootstrapSpec)},
 }
@@ -189,16 +192,12 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
     return cfg
 
 
-def read_config(path: str):
-    """A config file's JSON value, before any field is read."""
+def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-
-
-def load_config(path: str) -> ScenarioConfig:
-    return config_from_dict(read_config(path))
+    return config_from_dict(obj)

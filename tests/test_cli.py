@@ -114,6 +114,8 @@ INVALID_CONFIGS = {
                               "attacks[0].intensity"),
     "payload_len_mean-huge": (_set(["benign", "payload_len_mean"], 1e300),
                               "benign.payload_len_mean"),
+    "window_ticks-huge": (_set(["window_ticks"], 1_000_000), "window_ticks"),
+    "window_ticks-beyond-duration": (_set(["window_ticks"], 401), "window_ticks"),
 }
 
 
@@ -152,22 +154,11 @@ def test_run_config_not_an_object(tmp_path, capsys):
 
 def test_run_seed_flag_overrides_and_echoes(tmp_path, capsys):
     config = write_config(tmp_path, mini_config_dict(seed=11))
+    assert main(["run", "--config", config]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 11
     code = main(["run", "--config", config, "--seed", "99"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 99
-
-
-def test_run_env_seed_is_lowest_precedence(tmp_path, capsys, monkeypatch):
-    obj = mini_config_dict()
-    del obj["seed"]
-    config = write_config(tmp_path, obj)
-    monkeypatch.setenv("CIDS_SEED", "77")
-    assert main(["run", "--config", config]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 77
-    # config seed beats the environment
-    config2 = write_config(tmp_path, mini_config_dict(seed=11))
-    assert main(["run", "--config", config2]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 11
 
 
 def test_run_determinism_byte_identical(tmp_path, capsys):

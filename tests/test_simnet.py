@@ -191,7 +191,7 @@ def valid_configs(draw):
         duration=duration,
         block_interval=draw(st.integers(1, 10**6)),
         contribution_interval=draw(st.integers(1, 10**6)),
-        window_ticks=draw(st.integers(1, 10**6)),
+        window_ticks=draw(st.integers(1, min(duration, 10_000))),
         seed=draw(st.integers()),
         benign=BenignProfile(draw(_finite(0.0, 1000.0)), draw(_finite(None, 65535.0)),
                              draw(_finite(0.0, 65535.0)), draw(st.integers(1, 65536))),

@@ -1,8 +1,12 @@
 """Shared builders for randomized test corpora, and the committed standard scenario."""
 
+import ctypes
+import glob
+import os
 import random
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cids.ledger import (
@@ -30,6 +34,18 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def openblas_core() -> str | None:
+    """The kernel family OpenBLAS chose, where numpy's wheel bundles its library."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "*openblas*")):
+        get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes = []
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
 
 
 def standard_config() -> ScenarioConfig:
