@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .bloom import MAX_K, analytic_fpr, optimal_k
 from .errors import CidsError, MalformedBytes
@@ -28,6 +29,15 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+@contextmanager
+def _side_output(flag: str, path: str):
+    """An OSError while writing a run's side output is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CidsError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -38,21 +48,22 @@ def cmd_run(args) -> int:
     payload = report.to_json()
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with _side_output("--out", args.out), open(args.out, "w") as fh:
             fh.write(payload)
     if args.trace:
-        with open(args.trace, "w") as fh:
+        with _side_output("--trace", args.trace), open(args.trace, "w") as fh:
             for record in sim.trace:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     if args.ledger_out:
-        with open(args.ledger_out, "w") as fh:
+        with _side_output("--ledger-out", args.ledger_out), open(args.ledger_out, "w") as fh:
             fh.write(export_jsonl(sim.ledger))
     if args.nodes_out:
-        with open(args.nodes_out, "w") as fh:
+        with _side_output("--nodes-out", args.nodes_out), open(args.nodes_out, "w") as fh:
             json.dump([n.state_summary() for n in sim.nodes], fh, sort_keys=True)
             fh.write("\n")
     if args.dump_store:
-        sim.store.dump(args.dump_store)
+        with _side_output("--dump-store", args.dump_store):
+            sim.store.dump(args.dump_store)
 
     sys.stdout.write(payload)
     print(f"run complete: seed {config.seed}, {report.ledger_blocks} blocks",

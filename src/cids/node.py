@@ -1,5 +1,9 @@
 """Per-gateway IDS node: detection pipeline, contribution, and ledger sync.
 
+A model or filter becomes a stored blob and a transaction only in
+`NodeState.contribute`, adversarial content too, and becomes content again only
+in `fetch_contribution`.
+
 The pipeline is signature-first: events whose key sits on the node's benign
 allowlist skip the signature engine entirely (known-good traffic never
 raises a signature alarm, whatever the merged filter's false-positive rate);
@@ -41,6 +45,21 @@ from .ledger import (
 )
 from . import bloom
 from .trust import TrustRecord
+
+
+def content_digest(tx: Transaction) -> bytes:
+    """The content-store digest a model or filter contribution names."""
+    if tx.kind == TxKind.MODEL_CONTRIBUTION:
+        return tx.payload.model_digest
+    return tx.payload.filter_digest
+
+
+def fetch_contribution(store: ContentStore, tx: Transaction) -> LinearModel | BloomFilter:
+    """A contribution's model or filter from the store; raises NotFound or MalformedBytes."""
+    blob = store.get(content_digest(tx))
+    if tx.kind == TxKind.MODEL_CONTRIBUTION:
+        return model_deserialize(blob)
+    return bloom.deserialize(blob)
 
 
 @dataclass
@@ -155,38 +174,30 @@ class NodeState:
 
     # --- contribution -----------------------------------------------------------
 
-    def contribute(self, sim_time: int, store: ContentStore) -> list[Transaction]:
-        """Publish the current model and signature filter; digests go on-chain."""
+    def contribute(self, store: ContentStore, model: LinearModel | None = None,
+                   claimed: float | None = None,
+                   signature_filter: BloomFilter | None = None) -> list[Transaction]:
+        """Publish a model, if any, and a signature filter; digests go on-chain.
+
+        Each is the node's own unless given, as an adversary gives its poisoned
+        one; `claimed` defaults to the model's accuracy on the node's own data.
+        """
         txs = []
-        if self.model is not None:
-            blob = model_serialize(self.model)
-            digest = store.put(blob)
-            claimed = self._self_assessed_accuracy()
-            txs.append(
-                Transaction.wrap(
-                    self.id, ModelContribution(digest, ModelKind.SVM, claimed)
-                )
-            )
-        filter_blob = self.local_filter.serialize()
-        digest = store.put(filter_blob)
-        txs.append(
-            Transaction.wrap(
-                self.id,
-                SignatureContribution(
-                    digest,
-                    self.local_filter.n_inserted,
-                    self.local_filter.m_bits,
-                    self.local_filter.k_hashes,
-                ),
-            )
-        )
+        model = self.model if model is None else model
+        if model is not None:
+            claimed = self._self_assessed_accuracy(model) if claimed is None else claimed
+            txs.append(Transaction.wrap(self.id, ModelContribution(
+                store.put(model_serialize(model)), ModelKind.SVM, claimed)))
+        f = self.local_filter if signature_filter is None else signature_filter
+        txs.append(Transaction.wrap(self.id, SignatureContribution(
+            store.put(f.serialize()), f.n_inserted, f.m_bits, f.k_hashes)))
         return txs
 
-    def _self_assessed_accuracy(self) -> float:
+    def _self_assessed_accuracy(self, model: LinearModel) -> float:
         reference = self.holdout if self.holdout is not None else self.training_buffer
         if reference is None or len(reference) == 0:
             return 0.0
-        return evaluate(self.model, reference).accuracy
+        return evaluate(model, reference).accuracy
 
     # --- sync ---------------------------------------------------------------------
 
@@ -204,8 +215,7 @@ class NodeState:
             if tx.sender == self.id:
                 continue
             try:
-                peer_filter = bloom.deserialize(store.get(tx.payload.filter_digest))
-                self.merged_filter = self.merged_filter.merge(peer_filter)
+                self.merged_filter = self.merged_filter.merge(fetch_contribution(store, tx))
             except (NotFound, MalformedBytes):
                 faults += 1
 
@@ -239,13 +249,12 @@ class NodeState:
         if score(best.sender) <= score(current):
             return 0
         try:
-            blob = store.get(best.payload.model_digest)
-            self.model = model_deserialize(blob)
-            self.model_source = best.sender
-            self.model_digest = best.payload.model_digest
-            return 0
+            self.model = fetch_contribution(store, best)
         except (NotFound, MalformedBytes):
             return 1
+        self.model_source = best.sender
+        self.model_digest = content_digest(best)
+        return 0
 
     # --- debugging ------------------------------------------------------------------
 

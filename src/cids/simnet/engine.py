@@ -12,9 +12,12 @@ and the benign allowlist enumerated from the traffic profile.
 
 Ground truth is tallied once, as the traffic is built, into one table of
 event counts per (observer, window, kind); `_ground_truth` derives each
-window's kind from it for both the learning step and the report. An alarm
-carries the tick it was raised, so the ledger holds its dissemination; the
-run keeps only each alarmed window's first alarm tick.
+window's kind from it for both the learning step and the report. The run
+keeps only each alarmed window's first alarm tick, since alarms raised after
+the last seal never reach the chain. The report's consensus figures (filter
+bytes exchanged, rejected contributions, alarm dissemination) are folded from
+the sealed chain at the end: each is a fact a block records, and an alarm
+carries the tick it was raised.
 """
 
 from __future__ import annotations
@@ -34,22 +37,12 @@ from ..detection import (
     LabeledDataset,
     WindowColumns,
     extract_features,
-    model_deserialize,
-    model_serialize,
     signature_key,
     signature_key_from,
 )
 from ..errors import EmptyHoldout, EmptyReference, MalformedBytes, NotFound
-from ..ledger import (
-    AttackClass,
-    Ledger,
-    ModelContribution,
-    ModelKind,
-    SignatureContribution,
-    Transaction,
-    TxKind,
-)
-from ..node import NodeState, TrainParams
+from ..ledger import AttackClass, Ledger, Reason, Transaction, TxKind
+from ..node import NodeState, TrainParams, content_digest, fetch_contribution
 from ..trust import (
     TrustRecord,
     ValidationVerdict,
@@ -279,42 +272,20 @@ class Simulation:
 
     # --- adversary -----------------------------------------------------------
 
-    def _adversarial_contribution(self, node: NodeState, sim_time: int) -> list[Transaction]:
-        behavior = self.config.adversary.behavior
-        txs = []
-        if behavior == "poison_model":
-            if node.model is not None:
-                blob = model_serialize(node.model.negated())
-                digest = self.store.put(blob)
-                txs.append(
-                    Transaction.wrap(node.id, ModelContribution(digest, ModelKind.SVM, 0.99))
-                )
-            txs.extend(t for t in node.contribute(sim_time, self.store)
-                       if t.kind == TxKind.SIGNATURE_CONTRIBUTION)
-        elif behavior == "poison_filter":
-            nbytes = (node.filter_m_bits + 7) // 8
-            saturated = BloomFilter(
-                node.filter_m_bits, node.filter_k_hashes,
-                bytearray(b"\xff" * nbytes), max(1, node.local_filter.n_inserted),
-            )
-            digest = self.store.put(saturated.serialize())
-            txs.extend(t for t in node.contribute(sim_time, self.store)
-                       if t.kind == TxKind.MODEL_CONTRIBUTION)
-            txs.append(
-                Transaction.wrap(
-                    node.id,
-                    SignatureContribution(digest, saturated.n_inserted,
-                                          saturated.m_bits, saturated.k_hashes),
-                )
-            )
-        else:
-            txs = node.contribute(sim_time, self.store)
-        return txs
+    def _adversarial_contribution(self, node: NodeState) -> list[Transaction]:
+        """The adversary's contributions, published as an honest node's are."""
+        if self.config.adversary.behavior == "poison_model":
+            if node.model is None:
+                return node.contribute(self.store)
+            return node.contribute(self.store, model=node.model.negated(), claimed=0.99)
+        nbytes = (node.filter_m_bits + 7) // 8
+        saturated = BloomFilter(
+            node.filter_m_bits, node.filter_k_hashes,
+            bytearray(b"\xff" * nbytes), max(1, node.local_filter.n_inserted),
+        )
+        return node.contribute(self.store, signature_filter=saturated)
 
     # --- consensus-time validation ---------------------------------------------
-
-    def _reject(self, reason: VerdictReason, threshold: float) -> ValidationVerdict:
-        return ValidationVerdict(False, 0.0, threshold, reason)
 
     def _references(self, v: int) -> tuple[ProbeSet, ProbeSet]:
         """Validator v's attack keys and benign samples, each key hashed once per run."""
@@ -327,32 +298,24 @@ class Simulation:
 
     def _validate_contribution(self, tx: Transaction) -> bool:
         cfg = self.config
+        th = cfg.thresholds
+        is_model = tx.kind == TxKind.MODEL_CONTRIBUTION
+        # threshold and reason of the verdict on content that cannot be fetched or checked
+        rejection = ((th.model_accuracy, VerdictReason.BELOW_ACCURACY) if is_model
+                     else (th.filter_coverage, VerdictReason.LOW_COVERAGE))
         validators = [a for a in cfg.authorities if a != tx.sender] or list(cfg.authorities)
         verdicts = []
         for v in validators:
-            vnode = self.nodes[v]
-            if tx.kind == TxKind.MODEL_CONTRIBUTION:
-                try:
-                    if vnode.holdout is None:
-                        raise EmptyHoldout("validator has no holdout")
-                    model = model_deserialize(self.store.get(tx.payload.model_digest))
-                    verdict = validate_model(model, vnode.holdout,
-                                             cfg.thresholds.model_accuracy)
-                except (NotFound, MalformedBytes, EmptyHoldout):
-                    verdict = self._reject(VerdictReason.BELOW_ACCURACY,
-                                           cfg.thresholds.model_accuracy)
-            else:
-                try:
-                    contributed = bloom.deserialize(self.store.get(tx.payload.filter_digest))
-                    verdict = validate_signature_filter(
-                        contributed,
-                        *self._references(v),
-                        cfg.thresholds.filter_coverage,
-                        cfg.thresholds.filter_fpr,
-                    )
-                except (NotFound, MalformedBytes, EmptyReference):
-                    verdict = self._reject(VerdictReason.LOW_COVERAGE,
-                                           cfg.thresholds.filter_coverage)
+            holdout = self.nodes[v].holdout
+            try:
+                if is_model and holdout is None:
+                    raise EmptyHoldout("validator has no holdout")
+                content = fetch_contribution(self.store, tx)
+                verdict = (validate_model(content, holdout, th.model_accuracy) if is_model
+                           else validate_signature_filter(content, *self._references(v),
+                                                          th.filter_coverage, th.filter_fpr))
+            except (NotFound, MalformedBytes, EmptyHoldout, EmptyReference):
+                verdict = ValidationVerdict(False, 0.0, *rejection)
             verdicts.append((v, verdict))
         return quorum(verdicts, self.trust)
 
@@ -380,7 +343,6 @@ class Simulation:
         sealed_contribs: set[tuple[int, bytes]] = set()
         report = MetricsReport(seed=cfg.seed)
         report.per_class = {name: ClassMetrics() for name in ATTACK_CLASS_NAMES}
-        dissemination: list[int] = []
         adopted: set[bytes] = set()
 
         def record_alarms(node_id: int, window: int, txs: list[Transaction], tick: int):
@@ -431,19 +393,16 @@ class Simulation:
                 for node in self.nodes:
                     if (cfg.adversary is not None and node.id == cfg.adversary.node
                             and cfg.adversary.behavior != "none"):
-                        txs = self._adversarial_contribution(node, t)
+                        txs = self._adversarial_contribution(node)
                     else:
-                        txs = node.contribute(t, self.store)
+                        txs = node.contribute(self.store)
                     for tx in txs:
-                        digest = (tx.payload.model_digest
-                                  if tx.kind == TxKind.MODEL_CONTRIBUTION
-                                  else tx.payload.filter_digest)
-                        if (tx.sender, digest) in sealed_contribs:
+                        if (tx.sender, content_digest(tx)) in sealed_contribs:
                             continue  # identical content already on-chain
                         self.ledger.submit(tx)
 
             if t % cfg.block_interval == 0:
-                sealed_height = self._seal(t, sealed_contribs, report, dissemination)
+                sealed_height = self._seal(t, sealed_contribs)
                 for node in self.nodes:
                     report.sync_faults += node.sync(self.ledger, self.store, self.trust,
                                                     cfg.adopt_peers)
@@ -457,7 +416,7 @@ class Simulation:
                      "sealed_height": sealed_height}
                 )
 
-        self._finalize(report, truth, first_alarm, dissemination, adopted)
+        self._finalize(report, truth, first_alarm, adopted)
         return report
 
     def _extract_attack_keys(self, spec: AttackSpec, emissions: list[Emission],
@@ -478,9 +437,7 @@ class Simulation:
                 keyed.setdefault(signature_key(event), attack_class)
             node.add_signatures(keyed)
 
-    def _seal(self, t: int, sealed_contribs, report: MetricsReport,
-              dissemination: list[int]) -> int:
-        cfg = self.config
+    def _seal(self, t: int, sealed_contribs: set[tuple[int, bytes]]) -> int:
         included: list[Transaction] = []
         outcomes: list[Transaction] = []
         rejected: list[Transaction] = []
@@ -493,27 +450,15 @@ class Simulation:
             outcomes.append(outcome_from_quorum(tx.sender, accepted, tx.kind, proposer))
             if accepted:
                 included.append(tx)
-                if tx.kind == TxKind.SIGNATURE_CONTRIBUTION:
-                    report.bytes_filters_exchanged += bloom.serialized_size(tx.payload.m_bits)
-                    report.bytes_raw_baseline += baseline_bytes(tx.payload.n_items)
-                    sealed_contribs.add((tx.sender, tx.payload.filter_digest))
-                else:
-                    sealed_contribs.add((tx.sender, tx.payload.model_digest))
+                sealed_contribs.add((tx.sender, content_digest(tx)))
             else:
-                if tx.kind == TxKind.MODEL_CONTRIBUTION:
-                    report.rejected_model_contributions += 1
-                else:
-                    report.rejected_filter_contributions += 1
                 rejected.append(tx)
         self.ledger.discard(rejected)
         block = self.ledger.seal_block(proposer, t, included + outcomes)
         fold_updates(self.trust, block.txs)
-        for tx in block.txs:
-            if tx.kind == TxKind.ALARM:
-                dissemination.append(t - tx.payload.sim_time)  # raised at its sim_time
         return block.index
 
-    def _finalize(self, report, truth, first_alarm, dissemination, adopted) -> None:
+    def _finalize(self, report, truth, first_alarm, adopted) -> None:
         cfg = self.config
         wt = cfg.window_ticks
         alarm_ticks: dict[str, list[int]] = defaultdict(list)  # first alarms of attack windows
@@ -539,6 +484,21 @@ class Simulation:
         for name, values in latencies.items():
             report.per_class[name].mean_detection_latency_ticks = float(np.mean(values))
 
+        # the exchange, rejection and dissemination figures are facts the chain records
+        dissemination: list[int] = []
+        for block in self.ledger.blocks:
+            for tx in block.txs:
+                p = tx.payload
+                if tx.kind == TxKind.SIGNATURE_CONTRIBUTION:
+                    report.bytes_filters_exchanged += bloom.serialized_size(p.m_bits)
+                    report.bytes_raw_baseline += baseline_bytes(p.n_items)
+                elif tx.kind == TxKind.ALARM:  # from the tick it was raised to its block's
+                    dissemination.append(block.sim_time - p.sim_time)
+                elif tx.kind == TxKind.TRUST_UPDATE:
+                    if p.reason == Reason.MODEL_REJECTED:
+                        report.rejected_model_contributions += 1
+                    elif p.reason == Reason.FILTER_REJECTED:
+                        report.rejected_filter_contributions += 1
         report.ledger_blocks = len(self.ledger.blocks)
         report.ledger_bytes = self.ledger.total_bytes()
         if dissemination:

@@ -193,6 +193,25 @@ def test_run_side_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--ledger-out", "--nodes-out",
+                                  "--dump-store"])
+def test_run_unwritable_side_output_is_usage_error(tmp_path, capsys, flag):
+    config = write_config(tmp_path, mini_config_dict())
+    if flag == "--dump-store":
+        target = tmp_path / "a-file"  # a directory is wanted here
+        target.write_text("")
+    else:
+        target = tmp_path / "missing" / "out.json"
+    code = main(["run", "--config", config, flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert flag in lines[0] and str(target) in lines[0]
+
+
 # --- ledger verify ------------------------------------------------------------
 
 def test_ledger_verify_detects_tampering(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_anomaly_alarm_on_attack_window():
 def test_contribute_without_model_only_filter():
     node = make_node()
     store = ContentStore()
-    txs = node.contribute(5, store)
+    txs = node.contribute(store)
     assert [t.kind for t in txs] == [TxKind.SIGNATURE_CONTRIBUTION]
     payload = txs[0].payload
     assert payload.m_bits == 2048
@@ -149,7 +149,7 @@ def test_contribute_digests_match_store_keys():
     store = ContentStore()
     node.learn(training_set())
     node.add_signatures({b"\x05" * 41: AttackClass.RECON})
-    txs = node.contribute(5, store)
+    txs = node.contribute(store)
     kinds = {t.kind for t in txs}
     assert kinds == {TxKind.MODEL_CONTRIBUTION, TxKind.SIGNATURE_CONTRIBUTION}
     for tx in txs:
@@ -166,8 +166,8 @@ def test_contribute_unchanged_state_identical_digests():
     node = make_node()
     store = ContentStore()
     node.learn(training_set())
-    first = node.contribute(5, store)
-    second = node.contribute(25, store)
+    first = node.contribute(store)
+    second = node.contribute(store)
     digests = lambda txs: sorted(
         (t.payload.model_digest if t.kind == TxKind.MODEL_CONTRIBUTION
          else t.payload.filter_digest)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cids.detection import EventRecord, Flags, WindowColumns, extract_features
 from cids.errors import ConfigInvalid, EmptyHistory
-from cids.ledger import TxKind, verify_chain
+from cids.ledger import Ledger, Reason, TxKind, export_jsonl, import_jsonl, verify_chain
 from cids.simnet import (
     AdversarySpec,
     AttackPools,
@@ -801,6 +801,43 @@ def test_adversary_contained(mini_run):
 def test_poison_filter_rejected():
     report = run(mini_scenario(adversary="poison_filter"))
     assert report.rejected_filter_contributions >= 1
+
+
+@pytest.mark.parametrize("behavior", ["poison_model", "poison_filter"])
+def test_store_holds_only_published_content(monkeypatch, behavior):
+    # an adversary publishes its poisoned content the way an honest node does,
+    # so no blob is stored that no submitted transaction names
+    submitted, submit = [], Ledger.submit
+    monkeypatch.setattr(Ledger, "submit",
+                        lambda ledger, tx: submitted.append(tx) or submit(ledger, tx))
+    sim = Simulation(mini_scenario(adversary=behavior))
+    sim.run()
+    named = {getattr(tx.payload, name) for tx in submitted
+             for name in ("model_digest", "filter_digest", "evidence_digest")
+             if hasattr(tx.payload, name)}
+    assert any(tx.sender == sim.config.adversary.node for tx in submitted)
+    stray = [d.hex() for d in sim.store.digests() if d not in named]
+    assert stray == []
+
+
+def test_report_consensus_numbers_recount_from_exported_chain(mini_run, straddle_run):
+    # each exchange, rejection and dissemination figure is a fact the chain records
+    for sim, report in (mini_run, straddle_run):
+        ledger = import_jsonl(export_jsonl(sim.ledger))
+        sealed = [(block, tx) for block in ledger.blocks for tx in block.txs]
+        filters = [tx.payload for _b, tx in sealed if tx.kind == TxKind.SIGNATURE_CONTRIBUTION]
+        reasons = [tx.payload.reason for _b, tx in sealed if tx.kind == TxKind.TRUST_UPDATE]
+        delays = [block.sim_time - tx.payload.sim_time for block, tx in sealed
+                  if tx.kind == TxKind.ALARM]
+        assert filters and delays
+        assert report.bytes_filters_exchanged == sum(len(sim.store.get(f.filter_digest))
+                                                     for f in filters)
+        assert report.bytes_raw_baseline == sum(64 * f.n_items for f in filters)
+        assert report.rejected_model_contributions == reasons.count(Reason.MODEL_REJECTED)
+        assert report.rejected_filter_contributions == reasons.count(Reason.FILTER_REJECTED)
+        assert report.dissemination_mean == float(np.mean(delays))
+        assert report.dissemination_max == max(delays)
+    assert mini_run[1].rejected_model_contributions > 0
 
 
 def test_chain_verifies_after_run(mini_run):
