@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -42,6 +43,16 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
+
+    # a side output that cannot be written fails before the run, not after it
+    for flag, path in (("--out", args.out), ("--trace", args.trace),
+                       ("--ledger-out", args.ledger_out), ("--nodes-out", args.nodes_out)):
+        if path:
+            with _side_output(flag, path), open(path, "a"):
+                pass
+    if args.dump_store:
+        with _side_output("--dump-store", args.dump_store):
+            os.makedirs(args.dump_store, exist_ok=True)
 
     sim = Simulation(config)
     report = sim.run(trace=args.trace is not None)

@@ -153,12 +153,6 @@ class LabeledDataset:
     def has_both_classes(self) -> bool:
         return len(self) > 0 and (self.y == 1).any() and (self.y == -1).any()
 
-    @staticmethod
-    def concat(parts: list[LabeledDataset]) -> LabeledDataset:
-        return LabeledDataset(
-            np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts])
-        )
-
 
 _COUNT = struct.Struct(">Q")
 

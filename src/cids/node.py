@@ -85,7 +85,7 @@ class NodeState:
     model_source: int | None = None
     model_digest: bytes | None = None
     holdout: LabeledDataset | None = None
-    training_buffer: LabeledDataset | None = None
+    training_set: LabeledDataset | None = None
     last_synced_height: int = 0
     window: list[EventRecord] = field(default_factory=list)
     raised_alarms: int = 0  # alarms this node raised; the ledger holds them
@@ -158,16 +158,12 @@ class NodeState:
     # --- learning ---------------------------------------------------------------
 
     def learn(self, rows: LabeledDataset) -> bool:
-        """Buffer labeled rows; retrain once the buffer qualifies. True if retrained."""
-        if len(rows) > 0:
-            if self.training_buffer is None:
-                self.training_buffer = rows
-            else:
-                self.training_buffer = LabeledDataset.concat([self.training_buffer, rows])
-        buf = self.training_buffer
-        if buf is None or len(buf) < self.train.train_min or not buf.has_both_classes:
+        """Keep labeled rows as the training set; train on them if they qualify.
+        True if trained."""
+        self.training_set = rows
+        if len(rows) < self.train.train_min or not rows.has_both_classes:
             return False
-        self.model = svm_train(buf, self.train.lam, self.train.epochs, self.seed)
+        self.model = svm_train(rows, self.train.lam, self.train.epochs, self.seed)
         self.model_source = self.id
         self.model_digest = sha256(model_serialize(self.model))
         return True
@@ -194,7 +190,7 @@ class NodeState:
         return txs
 
     def _self_assessed_accuracy(self, model: LinearModel) -> float:
-        reference = self.holdout if self.holdout is not None else self.training_buffer
+        reference = self.holdout if self.holdout is not None else self.training_set
         if reference is None or len(reference) == 0:
             return 0.0
         return evaluate(model, reference).accuracy
@@ -265,7 +261,7 @@ class NodeState:
             "filter_bits_set": self.local_filter.popcount(),
             "merged_bits_set": self.merged_filter.popcount(),
             "model_source": self.model_source,
-            "training_rows": 0 if self.training_buffer is None else len(self.training_buffer),
+            "training_rows": 0 if self.training_set is None else len(self.training_set),
             "last_synced_height": self.last_synced_height,
             "raised_alarms": self.raised_alarms,
             "known_alarms": self.known_alarms,

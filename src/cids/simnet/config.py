@@ -93,7 +93,6 @@ class ScenarioConfig:
     svm_lambda: float = 0.5
     svm_epochs: int = 10
     train_min: int = 80
-    learn_interval_windows: int = 20
     signature_cap_per_attack: int = 64  # keys extracted per attack by forensics
     bootstrap: BootstrapSpec = field(default_factory=BootstrapSpec)
 
@@ -138,7 +137,7 @@ class ScenarioConfig:
 # the least value of each bounded field, by key path
 _AT_LEAST = {
     "n_nodes": 1, "duration": 1, "block_interval": 1, "contribution_interval": 1,
-    "window_ticks": 1, "learn_interval_windows": 1, "bloom_m_bits": 8, "bloom_k_hashes": 1,
+    "window_ticks": 1, "bloom_m_bits": 8, "bloom_k_hashes": 1,
     "svm_epochs": 1, "train_min": 2, "benign.rate": 0, "benign.payload_len_std": 0,
     "benign.payload_pool": 1, **{f"bootstrap.{f.name}": 0 for f in fields(BootstrapSpec)},
 }

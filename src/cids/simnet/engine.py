@@ -1,18 +1,20 @@
 """Deterministic discrete-event CIDS run.
 
 Tick order: attack forensics, traffic delivery (signature engine), window
-close (anomaly engine + labeled learning), contributions, block sealing with
-consensus-time validation, node sync. Everything derives from the config
-seed, so a report is a pure function of its ScenarioConfig.
+close (anomaly engine), contributions, block sealing with consensus-time
+validation, node sync. Everything derives from the config seed, so a report
+is a pure function of its ScenarioConfig.
 
 Nodes bootstrap from seeded pre-run corpora, the way a deployed IDS ships
 with historical labeled traffic and a vendor signature feed: a labeled
 window set (training + validation holdout), a historical attack-key feed,
-and the benign allowlist enumerated from the traffic profile.
+and the benign allowlist enumerated from the traffic profile. A node trains
+its anomaly model once, on that training set; during the run it takes other
+models only by adopting sealed peer contributions.
 
 Ground truth is tallied once, as the traffic is built, into one table of
-event counts per (observer, window, kind); `_ground_truth` derives each
-window's kind from it for both the learning step and the report. The run
+event counts per (observer, window, kind); only `_finalize` derives each
+window's kind from it, to score the run, so no node ever reads it. The run
 keeps only each alarmed window's first alarm tick, since alarms raised after
 the last seal never reach the chain. The report's consensus figures (filter
 bytes exchanged, rejected contributions, alarm dissemination) are folded from
@@ -300,22 +302,26 @@ class Simulation:
         cfg = self.config
         th = cfg.thresholds
         is_model = tx.kind == TxKind.MODEL_CONTRIBUTION
-        # threshold and reason of the verdict on content that cannot be fetched or checked
-        rejection = ((th.model_accuracy, VerdictReason.BELOW_ACCURACY) if is_model
-                     else (th.filter_coverage, VerdictReason.LOW_COVERAGE))
+        # the verdict on content that cannot be fetched or checked
+        rejected = ValidationVerdict(False, 0.0, *(
+            (th.model_accuracy, VerdictReason.BELOW_ACCURACY) if is_model
+            else (th.filter_coverage, VerdictReason.LOW_COVERAGE)))
         validators = [a for a in cfg.authorities if a != tx.sender] or list(cfg.authorities)
+        try:  # one fetch per decision; every validator checks the same content
+            content = fetch_contribution(self.store, tx)
+        except (NotFound, MalformedBytes):
+            return quorum([(v, rejected) for v in validators], self.trust)
         verdicts = []
         for v in validators:
             holdout = self.nodes[v].holdout
             try:
                 if is_model and holdout is None:
                     raise EmptyHoldout("validator has no holdout")
-                content = fetch_contribution(self.store, tx)
                 verdict = (validate_model(content, holdout, th.model_accuracy) if is_model
                            else validate_signature_filter(content, *self._references(v),
                                                           th.filter_coverage, th.filter_fpr))
-            except (NotFound, MalformedBytes, EmptyHoldout, EmptyReference):
-                verdict = ValidationVerdict(False, 0.0, *rejection)
+            except (EmptyHoldout, EmptyReference):
+                verdict = rejected
             verdicts.append((v, verdict))
         return quorum(verdicts, self.trust)
 
@@ -324,7 +330,6 @@ class Simulation:
     def run(self, trace: bool = False) -> MetricsReport:
         cfg = self.config
         pool, pools, events_at, class_emissions, counts = self._build_traffic()
-        truth = _ground_truth(counts)
         historical = self._historical_feed()
         whitelist = pool.whitelist_keys()
 
@@ -338,7 +343,6 @@ class Simulation:
 
         wt = cfg.window_ticks
         first_alarm: dict[tuple[int, int], int] = {}  # by (node, window): its first alarm's tick
-        learn_pending: dict[int, list[tuple[np.ndarray, int]]] = defaultdict(list)  # by node
 
         sealed_contribs: set[tuple[int, bytes]] = set()
         report = MetricsReport(seed=cfg.seed)
@@ -376,18 +380,9 @@ class Simulation:
 
             if t % wt == 0:
                 for node in self.nodes:
-                    features, alarms = node.close_window(wt, t, self.store)
+                    _features, alarms = node.close_window(wt, t, self.store)
                     record_alarms(node.id, window, alarms, t)
                     tick_alarms += len(alarms)
-                    kind = truth[node.id][window]
-                    if kind >= 0:  # a mixed window is not learnt
-                        learn_pending[node.id].append((features, 1 if kind else -1))
-                if window % cfg.learn_interval_windows == 0:
-                    for node in self.nodes:
-                        rows = learn_pending.pop(node.id, None)
-                        if rows:
-                            node.learn(LabeledDataset(np.array([r for r, _ in rows]),
-                                                      np.array([y for _, y in rows])))
 
             if t % cfg.contribution_interval == 0:
                 for node in self.nodes:
@@ -416,7 +411,7 @@ class Simulation:
                      "sealed_height": sealed_height}
                 )
 
-        self._finalize(report, truth, first_alarm, adopted)
+        self._finalize(report, counts, first_alarm, adopted)
         return report
 
     def _extract_attack_keys(self, spec: AttackSpec, emissions: list[Emission],
@@ -458,9 +453,10 @@ class Simulation:
         fold_updates(self.trust, block.txs)
         return block.index
 
-    def _finalize(self, report, truth, first_alarm, adopted) -> None:
+    def _finalize(self, report, counts, first_alarm, adopted) -> None:
         cfg = self.config
         wt = cfg.window_ticks
+        truth = _ground_truth(counts)
         alarm_ticks: dict[str, list[int]] = defaultdict(list)  # first alarms of attack windows
         for node in self.nodes:
             for w in range(1, cfg.duration // wt + 1):

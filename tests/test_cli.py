@@ -16,6 +16,7 @@ from cids.ledger import (
     TrustUpdate,
     export_jsonl,
 )
+from cids.simnet import Simulation
 
 
 def mini_config_dict(seed=11):
@@ -195,7 +196,12 @@ def test_run_side_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--trace", "--ledger-out", "--nodes-out",
                                   "--dump-store"])
-def test_run_unwritable_side_output_is_usage_error(tmp_path, capsys, flag):
+def test_run_unwritable_side_output_is_usage_error(tmp_path, capsys, monkeypatch, flag):
+    def run(*args, **kwargs):
+        pytest.fail("Simulation.run was called with an unwritable side output")
+
+    # the path is checked before the simulation, not after it
+    monkeypatch.setattr(Simulation, "run", run)
     config = write_config(tmp_path, mini_config_dict())
     if flag == "--dump-store":
         target = tmp_path / "a-file"  # a directory is wanted here

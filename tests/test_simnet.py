@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cids.node
 from cids.detection import EventRecord, Flags, WindowColumns, extract_features
 from cids.errors import ConfigInvalid, EmptyHistory
 from cids.ledger import Ledger, Reason, TxKind, export_jsonl, import_jsonl, verify_chain
@@ -31,6 +33,7 @@ from cids.simnet import (
     load_config,
     run,
 )
+from cids.simnet import engine
 from cids.simnet.config import ATTACK_CLASS_NAMES
 from cids.simnet.engine import _KINDS, ATTACK_WINDOW_FRACTION, _ground_truth
 from cids.simnet.generators import (
@@ -205,7 +208,6 @@ def valid_configs(draw):
         svm_lambda=draw(_finite(0.0, exclude_min=True)),
         svm_epochs=draw(st.integers(1, 10**6)),
         train_min=draw(st.integers(2, 10**6)),
-        learn_interval_windows=draw(st.integers(1, 10**6)),
         signature_cap_per_attack=draw(st.integers()),
         bootstrap=draw(st.builds(BootstrapSpec, *[st.integers(0, 100_000)] * 6)),
     )
@@ -658,14 +660,15 @@ def test_run_deterministic():
 
 # Fingerprints of mini_scenario() at seeds 1-3: (report SHA-256, chain head).
 # Like the seed-42 standard pins, they move only with the random stream, the
-# report layout or the ledger encoding, and such a change must say why.
+# report layout, the ledger encoding or what a node contributes, and such a
+# change must say why.
 MINI_FINGERPRINTS = {
-    1: ("615c753a92cd3cd8a7353b3dcf63304caffb6af5665f9d7bd836eb14d79a03f3",
-        "932f36f930f6ce72077cbb3b48d01ae00e88f4bdead9b0649b0ce4cff4698f4e"),
-    2: ("4d91fce9480fb751e1e851cdc0fe83215a8192a86d8850086f00243124492ce4",
-        "cfdc20925d6e4cb8103558bd00950b2959ea2284691d5df9059dde4020859a62"),
-    3: ("27697d53351d6294b147ecd6c357e799c19da4f88e41d0b0f74f2f8ecc3e6672",
-        "c0dcdfe63c58c37fd4a662ab259b8ece7008f3aa86e724afefbbd0515bc9bcc4"),
+    1: ("84fdcd957ce300ec66e562e5cb1ca968c8c5b4daf9ae828727049b85adc9aaf5",
+        "b0c3affb742c006e156b40d9557e2a959afe81be3b1112575ac1612b3660bdfd"),
+    2: ("a38aa313e124566c9c825de212c3918b358c67efca7b0824caa612558227b2f3",
+        "ec153b36dca54eda9a8f8789ccb67eeca57da06770c0a6aaf4b7c0b17edbdf58"),
+    3: ("361962423b10d14e0b0c1abcf67099071793b89a0390c48236ae39045ad9c358",
+        "64b637055b6015f316428d3d90391e5645c5fd9945370ec3cfd56978398c5389"),
 }
 
 
@@ -701,11 +704,11 @@ def tie_scenario():
 # (report SHA-256, chain head) of the two edge scenarios above
 EDGE_FINGERPRINTS = {
     "overlap": (overlap_scenario,
-                "f7d181a73a4a454e6636dbfdc67e85cf79ba3fa8f5be1b92b623e26a51d1a02a",
-                "b60fd96c9a24c3bf87c188c9c90d69214681430c18d6ad800337be3dacf991c2"),
+                "33385ae628d8bdd141f41aa3e662ae6d19a24fce59fa1f38e56eb63be771d874",
+                "a585e0b78b89c7b30d3e1e210f1b1daa98ad22b4d44a2e3fc1bcd752183e466b"),
     "tie": (tie_scenario,
-            "b2954f14695601615e07d6f5d5ef4e3f29e889512bb0ec340965067a8283c9a2",
-            "00450a61e11653abf587b7a346abd1fdf91d94b98b345fc6a13fd8055e0fdaa8"),
+            "48508462de884bbcb8fa91ff860ee631d02ee72a9b42ffd0b671185cebab71e9",
+            "a4a31f7dfbcc72b37ed8029fde4870da5c765229562ad4d1e3b4bdedd3cc5620"),
 }
 
 
@@ -722,6 +725,28 @@ def test_majority_tie_goes_to_the_alphabetically_first_class():
     report = run(tie_scenario())
     assert report.per_class["recon"].injected_windows == 4 * 2
     assert report.per_class["spoof"].injected_windows == 0
+
+
+def test_each_node_trains_once_and_only_finalize_reads_ground_truth(monkeypatch):
+    # nodes train on their bootstrap sets alone; the ground-truth table is read
+    # only to score the run, never to label what a node learns
+    trainings, callers = [], []
+    train, ground_truth = cids.node.svm_train, engine._ground_truth
+
+    def counted_train(*args, **kwargs):
+        trainings.append(args)
+        return train(*args, **kwargs)
+
+    def recorded_ground_truth(counts):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return ground_truth(counts)
+
+    monkeypatch.setattr(cids.node, "svm_train", counted_train)
+    monkeypatch.setattr(engine, "_ground_truth", recorded_ground_truth)
+    cfg = mini_scenario()
+    Simulation(cfg).run()
+    assert len(trainings) == cfg.n_nodes
+    assert callers == ["_finalize"]
 
 
 def test_ledger_growth(mini_run):
